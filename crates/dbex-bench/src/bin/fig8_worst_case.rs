@@ -18,7 +18,13 @@ fn main() {
     let request = worst_case_request();
 
     println!("Figure 8: worst-case CAD View build time vs result size");
-    println!("(|I|=10 compare attrs, l=15, k=6, |V|=5, {sims} simulations/point)\n");
+    println!("(|I|=10 compare attrs, l=15, k=6, |V|=5, {sims} simulations/point)");
+    println!(
+        "(host: {} hardware threads, {} build thread(s), {} kernels)\n",
+        dbex_par::hardware_threads(),
+        dbex_par::resolve_threads(request.config.threads),
+        dbex_stats::simd::dispatch().name()
+    );
     let widths = [8, 14, 12, 11, 11];
     print_row(
         &["rows", "compare(ms)", "iunits(ms)", "others(ms)", "total(ms)"]

@@ -30,6 +30,7 @@ use crate::simd::{assign_rows_with, assign_scatter_rows_with, dot_stride};
 use dbex_stats::simd::SimdDispatch;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::hash::BuildHasher;
 
 /// Configuration for [`kmeans`].
 #[derive(Debug, Clone)]
@@ -86,6 +87,10 @@ pub struct KMeansResult {
     /// not count ratios. The incremental-reuse warm-start path feeds
     /// these into a later build.
     pub histograms: Vec<(Vec<u32>, u32)>,
+    /// Points each Lloyd pass walked. The packed kernel groups identical
+    /// rows and walks each distinct row once; paths that do not
+    /// deduplicate report their point count.
+    pub distinct_rows: usize,
 }
 
 impl KMeansResult {
@@ -141,6 +146,7 @@ pub fn kmeans(
             inertia: 0.0,
             iterations: 0,
             histograms: Vec::new(),
+            distinct_rows: 0,
         });
     }
 
@@ -248,6 +254,7 @@ pub fn kmeans(
         inertia,
         iterations,
         histograms: hist.into_iter().zip(count).collect(),
+        distinct_rows: n,
     })
 }
 
@@ -483,6 +490,7 @@ fn kmeans_packed_impl<T: CodeWord>(
             inertia: 0.0,
             iterations: 0,
             histograms: Vec::new(),
+            distinct_rows: 0,
         });
     }
     let row = |i: usize| &codes[i * attrs..(i + 1) * attrs];
@@ -514,14 +522,22 @@ fn kmeans_packed_impl<T: CodeWord>(
         }
     };
 
-    // Flatten each row's active one-hot dimensions once (CSR layout):
-    // every Lloyd iteration then walks plain `u32` dim lists instead of
-    // re-deriving attribute offsets and NULL checks from the packed
-    // codes, and `dims.len()` doubles as the row's |x| term.
-    let mut row_dims: Vec<u32> = Vec::with_capacity(n * attrs);
-    let mut row_ends: Vec<u32> = Vec::with_capacity(n);
-    for i in 0..n {
-        for (a, &code) in row(i).iter().enumerate() {
+    // Identical rows share their one-hot dims and therefore every
+    // canonical distance, so they always land on the same centroid: the
+    // Lloyd passes walk each distinct row once and move its whole
+    // multiplicity. Seeding above and the empty-cluster scan below stay per
+    // row, so every RNG draw and tie-break is the reference's.
+    let distinct = DistinctRows::group(codes, n, attrs);
+    let nd = distinct.first.len();
+
+    // Flatten each distinct row's active one-hot dimensions once (CSR
+    // layout): every Lloyd iteration then walks plain `u32` dim lists
+    // instead of re-deriving attribute offsets and NULL checks from the
+    // packed codes, and `dims.len()` doubles as the row's |x| term.
+    let mut row_dims: Vec<u32> = Vec::with_capacity(nd * attrs);
+    let mut row_ends: Vec<u32> = Vec::with_capacity(nd);
+    for &i in &distinct.first {
+        for (a, &code) in row(i as usize).iter().enumerate() {
             if code != T::NULL {
                 row_dims.push((m.offset(a) + code.index()) as u32);
             }
@@ -530,14 +546,16 @@ fn kmeans_packed_impl<T: CodeWord>(
     }
 
     let threads = config.threads.max(1);
-    // `usize::MAX` = "not yet assigned": the first pass moves every row
-    // into its cluster, priming the running histogram below.
-    let mut assignments = vec![usize::MAX; n];
+    // Per distinct row; `usize::MAX` = "not yet assigned": the first pass
+    // moves every row into its cluster, priming the running histogram
+    // below.
+    let mut assign = vec![usize::MAX; nd];
     // Running assignment histogram, maintained incrementally: each pass
-    // merges per-chunk wrapping deltas (rows that changed cluster) instead
-    // of rebuilding the `k × dim` sums from scratch — bit-identical by the
-    // group argument on `assign_scatter_rows_with`, and nearly free once
-    // Lloyd stops moving rows.
+    // merges per-chunk wrapping deltas (rows that changed cluster, each
+    // weighted by its multiplicity) instead of rebuilding the `k × dim`
+    // sums from scratch — bit-identical by the group argument on
+    // `assign_scatter_rows_with`, and nearly free once Lloyd stops moving
+    // rows.
     let mut sums = vec![0u32; k * dim];
     let mut counts = vec![0u32; k];
     let mut iterations = 0;
@@ -582,18 +600,19 @@ fn kmeans_packed_impl<T: CodeWord>(
                 &norms,
                 &inv,
                 dim,
-                &assignments,
+                &distinct.weights,
+                &assign,
                 &mut part_assign,
                 &mut part_counts,
                 &mut part_sums,
             );
             (part_assign, part_counts, part_sums)
         };
-        let parts = dbex_par::par_map_chunks(threads, n, KMEANS_PAR_MIN_CHUNK, chunk);
-        let ranges = dbex_par::chunk_ranges(n, threads, KMEANS_PAR_MIN_CHUNK);
+        let parts = dbex_par::par_map_chunks(threads, nd, KMEANS_PAR_MIN_CHUNK, chunk);
+        let ranges = dbex_par::chunk_ranges(nd, threads, KMEANS_PAR_MIN_CHUNK);
         let mut changed = false;
         for (range, (part_assign, part_counts, part_sums)) in ranges.into_iter().zip(parts) {
-            for (slot, best) in assignments[range].iter_mut().zip(part_assign) {
+            for (slot, best) in assign[range].iter_mut().zip(part_assign) {
                 if *slot != best {
                     *slot = best;
                     changed = true;
@@ -619,8 +638,8 @@ fn kmeans_packed_impl<T: CodeWord>(
                     .collect();
                 let far = (0..n)
                     .max_by(|&a, &b| {
-                        let ca = assignments[a];
-                        let cb = assignments[b];
+                        let ca = assign[distinct.of_row[a] as usize];
+                        let cb = assign[distinct.of_row[b] as usize];
                         let da =
                             packed_hist_dist2(row(a), m, &hist[ca], norms[ca], inv[ca]);
                         let db =
@@ -648,19 +667,23 @@ fn kmeans_packed_impl<T: CodeWord>(
     norms.resize(stride, f64::INFINITY);
     inv.resize(stride, 0.0);
     let lut = build_int_lut(&hist, dim);
-    // Nearest-centroid lookups chunk like the iteration loop; the f64
-    // inertia fold stays sequential in row order (float addition is not
-    // associative, so only the per-row (best, d) pairs parallelize).
-    let parts = dbex_par::par_map_chunks(threads, n, KMEANS_PAR_MIN_CHUNK, |range| {
+    // Nearest-centroid lookups chunk like the iteration loop, once per
+    // distinct row; the expansion back to rows and the f64 inertia fold
+    // stay sequential in row order (float addition is not associative, so
+    // only the per-row (best, d) pairs may be shared or parallelized).
+    let parts = dbex_par::par_map_chunks(threads, nd, KMEANS_PAR_MIN_CHUNK, |range| {
         let disp = dbex_stats::simd::dispatch();
         let mut out = Vec::with_capacity(range.len());
         assign_rows_with(disp, &row_dims, &row_ends, range, &lut, &norms, &inv, &mut out);
         out
     });
+    let nearest: Vec<(usize, f64)> = parts.into_iter().flatten().collect();
+    let mut assignments = Vec::with_capacity(n);
     let mut inertia = 0.0;
     let mut sizes = vec![0usize; k];
-    for (slot, (best, d)) in assignments.iter_mut().zip(parts.into_iter().flatten()) {
-        *slot = best;
+    for &u in &distinct.of_row {
+        let (best, d) = nearest[u as usize];
+        assignments.push(best);
         sizes[best] += 1;
         inertia += d;
     }
@@ -681,7 +704,68 @@ fn kmeans_packed_impl<T: CodeWord>(
         inertia,
         iterations,
         histograms: hist.into_iter().zip(count).collect(),
+        distinct_rows: nd,
     })
+}
+
+/// Identical packed rows, grouped once per k-means call. Distinct rows are
+/// numbered in first-occurrence order: `first[u]` is the first row of
+/// distinct row `u`, `weights[u]` how many rows equal it, and `of_row[i]`
+/// the distinct row of row `i`. Scratch is O(n) `u32`: these three plus an
+/// open-addressing table of at most `4n` slots, dropped on return. Row
+/// indices fit `u32` because `PackedMatrix::from_columns` bounds
+/// `rows · attrs` by `u32::MAX`.
+struct DistinctRows {
+    first: Vec<u32>,
+    weights: Vec<u32>,
+    of_row: Vec<u32>,
+}
+
+impl DistinctRows {
+    fn group<T: CodeWord>(codes: &[T], n: usize, attrs: usize) -> DistinctRows {
+        let row = |i: usize| &codes[i * attrs..(i + 1) * attrs];
+        // A power-of-two table at most half full; a slot holds `u + 1` for
+        // distinct row `u`, 0 when empty. Codes come from user data, so the
+        // row hash is the standard library's randomly keyed one, and a
+        // crafted table cannot force long probe chains. The numbering is
+        // first-occurrence order whatever the keys.
+        let hasher = std::hash::RandomState::new();
+        let bits = (2 * n).next_power_of_two().trailing_zeros();
+        let mask = (1usize << bits) - 1;
+        let mut slots = vec![0u32; 1 << bits];
+        let mut first: Vec<u32> = Vec::new();
+        let mut weights: Vec<u32> = Vec::new();
+        let mut of_row: Vec<u32> = Vec::with_capacity(n);
+        for i in 0..n {
+            let r = row(i);
+            let mut s = (hasher.hash_one(r) >> (64 - bits)) as usize;
+            loop {
+                match slots[s] {
+                    0 => {
+                        slots[s] = first.len() as u32 + 1;
+                        of_row.push(first.len() as u32);
+                        first.push(i as u32);
+                        weights.push(1);
+                        break;
+                    }
+                    u => {
+                        let u = u as usize - 1;
+                        if row(first[u] as usize) == r {
+                            weights[u] += 1;
+                            of_row.push(u as u32);
+                            break;
+                        }
+                    }
+                }
+                s = (s + 1) & mask;
+            }
+        }
+        DistinctRows {
+            first,
+            weights,
+            of_row,
+        }
+    }
 }
 
 fn assign_all_packed_impl<T: CodeWord>(

@@ -70,6 +70,7 @@ pub fn mini_batch_kmeans(
             inertia: 0.0,
             iterations: 0,
             histograms: Vec::new(),
+            distinct_rows: 0,
         });
     }
     if n <= config.batch_size {
@@ -180,6 +181,7 @@ pub fn mini_batch_kmeans(
         inertia,
         iterations: config.batches,
         histograms: Vec::new(),
+        distinct_rows: n,
     })
 }
 
@@ -208,6 +210,7 @@ pub fn mini_batch_kmeans_packed(
             inertia: 0.0,
             iterations: 0,
             histograms: Vec::new(),
+            distinct_rows: 0,
         });
     }
     if n <= config.batch_size {
@@ -328,6 +331,7 @@ fn mini_batch_packed_impl<T: CodeWord>(
         inertia,
         iterations: config.batches,
         histograms: Vec::new(),
+        distinct_rows: n,
     })
 }
 

@@ -35,7 +35,7 @@ use dbex_table::dict::NULL_CODE;
 ///
 /// Implemented for `u8` and `u16`; the all-ones value is the NULL
 /// sentinel, so the maximum representable live code is `MAX - 1`.
-pub trait CodeWord: Copy + Eq {
+pub trait CodeWord: Copy + Eq + std::hash::Hash {
     /// The NULL sentinel (`MAX` of the carrier type).
     const NULL: Self;
     /// Widens a live code to a dimension index.

@@ -15,7 +15,7 @@
 //! process.
 //!
 //! The other half of the fused assign+update loop — the centroid
-//! histogram scatter `sums[best][d] += 1` — indexes arbitrary dimensions
+//! histogram scatter `sums[best][d] += w` — indexes arbitrary dimensions
 //! per row and stays scalar: x86 gains gather/scatter for this shape only
 //! at AVX-512, which the fleet baseline does not assume. Instead the
 //! scatter is *incremental* ([`assign_scatter_rows_with`]): only rows
@@ -433,11 +433,13 @@ pub(crate) fn assign_rows_with(
 /// clusters in the flattened `k × dim` wrapping-delta histogram
 /// `part_sums`/`part_counts` (add to the new cluster, subtract from the
 /// old; `prev[row] == usize::MAX` marks "not yet assigned", first
-/// iteration, which only adds). Applying the merged deltas to the
-/// caller's running sums reproduces the from-scratch scatter exactly:
-/// `u32` wrapping add/sub is a commutative group, so
-/// `old_sums + (adds − subs)` equals the direct regrouped sum bit for
-/// bit, in any chunk order — while rows that kept their cluster (the
+/// iteration, which only adds). A row stands for `weights[row]`
+/// identical tuples, so it moves that many members at once. Applying
+/// the merged deltas to the caller's running sums reproduces the
+/// from-scratch scatter exactly: `u32` wrapping add/sub is a commutative
+/// group, so `old_sums + (adds − subs)` equals the direct regrouped sum
+/// bit for bit, in any chunk order and for any grouping of identical
+/// tuples into weighted rows — while rows that kept their cluster (the
 /// vast majority once Lloyd starts converging) cost no scatter work at
 /// all.
 #[allow(clippy::too_many_arguments)]
@@ -450,6 +452,7 @@ pub(crate) fn assign_scatter_rows_with(
     norms: &[f64],
     invs: &[f64],
     dim: usize,
+    weights: &[u32],
     prev: &[usize],
     part_assign: &mut Vec<usize>,
     part_counts: &mut [u32],
@@ -469,7 +472,8 @@ pub(crate) fn assign_scatter_rows_with(
             part_assign.push(best);
             let old = prev[i];
             if old != best {
-                part_counts[best] = part_counts[best].wrapping_add(1);
+                let w = weights[i];
+                part_counts[best] = part_counts[best].wrapping_add(w);
                 let nb = best * dim;
                 // SAFETY (both loops): `scatter_ok` verified `dd < dim` for
                 // every dim in the range and `part_sums.len() ≥
@@ -479,16 +483,16 @@ pub(crate) fn assign_scatter_rows_with(
                 if old == usize::MAX {
                     for &dd in dims {
                         let s = unsafe { part_sums.get_unchecked_mut(nb + dd as usize) };
-                        *s = s.wrapping_add(1);
+                        *s = s.wrapping_add(w);
                     }
                 } else {
-                    part_counts[old] = part_counts[old].wrapping_sub(1);
+                    part_counts[old] = part_counts[old].wrapping_sub(w);
                     let ob = old * dim;
                     for &dd in dims {
                         let s = unsafe { part_sums.get_unchecked_mut(nb + dd as usize) };
-                        *s = s.wrapping_add(1);
+                        *s = s.wrapping_add(w);
                         let s = unsafe { part_sums.get_unchecked_mut(ob + dd as usize) };
-                        *s = s.wrapping_sub(1);
+                        *s = s.wrapping_sub(w);
                     }
                 }
             }
@@ -498,16 +502,17 @@ pub(crate) fn assign_scatter_rows_with(
             part_assign.push(best);
             let old = prev[i];
             if old != best {
-                part_counts[best] = part_counts[best].wrapping_add(1);
+                let w = weights[i];
+                part_counts[best] = part_counts[best].wrapping_add(w);
                 let sum = &mut part_sums[best * dim..(best + 1) * dim];
                 for &dd in dims {
-                    sum[dd as usize] = sum[dd as usize].wrapping_add(1);
+                    sum[dd as usize] = sum[dd as usize].wrapping_add(w);
                 }
                 if old != usize::MAX {
-                    part_counts[old] = part_counts[old].wrapping_sub(1);
+                    part_counts[old] = part_counts[old].wrapping_sub(w);
                     let sum = &mut part_sums[old * dim..(old + 1) * dim];
                     for &dd in dims {
-                        sum[dd as usize] = sum[dd as usize].wrapping_sub(1);
+                        sum[dd as usize] = sum[dd as usize].wrapping_sub(w);
                     }
                 }
             }
@@ -1039,7 +1044,8 @@ mod tests {
 
     /// Applying the wrapping deltas of two successive passes (centroids
     /// change in between) reproduces the from-scratch histogram of the
-    /// final assignment, on every dispatch.
+    /// final assignment, on every dispatch, with every row counted
+    /// `weights[row]` times.
     #[test]
     fn scatter_deltas_reproduce_from_scratch_histogram() {
         let k = 3usize;
@@ -1054,6 +1060,7 @@ mod tests {
             row_dims.extend_from_slice(r);
             row_ends.push(row_dims.len() as u32);
         }
+        let weights: Vec<u32> = (0..rows.len() as u32).map(|i| 1 + i % 4).collect();
         let lut_for = |salt: u32| {
             let mut lut = vec![0u32; dim * ks];
             for (i, v) in lut.iter_mut().enumerate() {
@@ -1090,6 +1097,7 @@ mod tests {
                     &norms,
                     &invs,
                     dim,
+                    &weights,
                     &prev,
                     &mut part_assign,
                     &mut part_counts,
@@ -1104,10 +1112,10 @@ mod tests {
                 // Brute-force regroup of the new assignment.
                 let mut want_sums = vec![0u32; k * dim];
                 let mut want_counts = vec![0u32; k];
-                for (r, &c) in rows.iter().zip(&part_assign) {
-                    want_counts[c] += 1;
+                for ((r, &c), &w) in rows.iter().zip(&part_assign).zip(&weights) {
+                    want_counts[c] += w;
                     for &dd in r {
-                        want_sums[c * dim + dd as usize] += 1;
+                        want_sums[c * dim + dd as usize] += w;
                     }
                 }
                 assert_eq!(counts, want_counts, "pass={pass} dispatch={d:?}: counts");

@@ -6,7 +6,10 @@
 //! inertia bits, and iteration counts of the sparse reference
 //! implementations. Random fixtures cover NULLs, duplicate rows, empty
 //! rows, tiny n, and the `u8 → u16` width promotion above 255 distinct
-//! values per attribute.
+//! values per attribute. The packed k-means walks each distinct row once
+//! with its multiplicity as a weight, so duplicate-heavy fixtures (few
+//! distinct rows, fewer distinct rows than `k`, all rows identical or all
+//! distinct) check that weighting at several thread counts.
 
 use dbex_cluster::kmeans::{assign_all_packed, kmeans, kmeans_packed, KMeansConfig};
 use dbex_cluster::minibatch::{mini_batch_kmeans, mini_batch_kmeans_packed, MiniBatchConfig};
@@ -15,6 +18,7 @@ use dbex_cluster::{KMeansResult, OneHotSpace};
 use dbex_stats::discretize::{AttributeCodec, CodedColumn};
 use dbex_table::dict::NULL_CODE;
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// Builds coded columns with the given cardinalities from explicit codes
 /// (`None` = NULL), rows in row-major order.
@@ -35,23 +39,28 @@ fn columns_from(cards: &[usize], rows: &[Vec<Option<u32>>]) -> Vec<CodedColumn> 
         .collect()
 }
 
-/// Deterministic pseudo-random rows over the given cardinalities, with a
-/// NULL probability of roughly 1/8.
-fn random_rows(cards: &[usize], n: usize, seed: u64) -> Vec<Vec<Option<u32>>> {
+/// A seeded xorshift stream for the fixtures.
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = move || {
+    move || {
         state ^= state << 13;
         state ^= state >> 7;
         state ^= state << 17;
         state
-    };
+    }
+}
+
+/// Deterministic pseudo-random rows over the given cardinalities, with a
+/// NULL probability of roughly 1/8.
+fn random_rows(cards: &[usize], n: usize, seed: u64) -> Vec<Vec<Option<u32>>> {
+    let mut next = xorshift(seed);
     (0..n)
         .map(|_| {
             cards
                 .iter()
                 .map(|&card| {
                     let r = next();
-                    if r % 8 == 0 {
+                    if r.is_multiple_of(8) {
                         None
                     } else {
                         Some((r % card as u64) as u32)
@@ -78,6 +87,59 @@ fn assert_bit_identical(packed: &KMeansResult, reference: &KMeansResult, ctx: &s
         let pb: Vec<u64> = p.iter().map(|v| v.to_bits()).collect();
         let rb: Vec<u64> = r.iter().map(|v| v.to_bits()).collect();
         assert_eq!(pb, rb, "{ctx}: centroid {c}");
+    }
+    assert_eq!(packed.histograms, reference.histograms, "{ctx}: histograms");
+}
+
+/// Every row of `templates` at least once, then random picks up to `n`
+/// rows, in a seeded shuffled order.
+fn repeat_shuffled(templates: &[Vec<Option<u32>>], n: usize, seed: u64) -> Vec<Vec<Option<u32>>> {
+    let mut next = xorshift(seed);
+    let mut rows: Vec<Vec<Option<u32>>> = templates.to_vec();
+    while rows.len() < n {
+        rows.push(templates[(next() % templates.len() as u64) as usize].clone());
+    }
+    for i in (1..rows.len()).rev() {
+        rows.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    rows
+}
+
+/// Packed k-means at 1, 2 and 4 threads against the one-hot reference,
+/// histograms included. The packed kernel must walk exactly the distinct
+/// rows; the reference walks every point.
+fn check_weighted(cards: &[usize], rows: &[Vec<Option<u32>>], k: usize, seed: u64) {
+    let columns = columns_from(cards, rows);
+    let refs: Vec<&CodedColumn> = columns.iter().collect();
+    let positions: Vec<usize> = (0..rows.len()).collect();
+    let space = OneHotSpace::from_columns(&refs);
+    let points = space.encode_positions(&refs, &positions);
+    let matrix = PackedMatrix::from_columns(&refs, &positions)
+        .unwrap_or_else(|| panic!("cards {cards:?} must pack"));
+    let distinct = rows.iter().collect::<HashSet<_>>().len();
+    for plus_plus in [true, false] {
+        let cfg = KMeansConfig {
+            k,
+            max_iters: 15,
+            seed,
+            plus_plus,
+            threads: 1,
+        };
+        let reference = kmeans(&points, space.dim(), &cfg).unwrap();
+        assert_eq!(reference.distinct_rows, rows.len());
+        for threads in [1, 2, 4] {
+            let packed = kmeans_packed(
+                &matrix,
+                &KMeansConfig {
+                    threads,
+                    ..cfg.clone()
+                },
+            )
+            .unwrap();
+            let ctx = format!("t={threads} pp={plus_plus} k={k} distinct={distinct}");
+            assert_bit_identical(&packed, &reference, &ctx);
+            assert_eq!(packed.distinct_rows, distinct, "{ctx}: distinct_rows");
+        }
     }
 }
 
@@ -187,8 +249,104 @@ fn empty_input_matches_reference() {
     assert_bit_identical(&packed, &reference, "empty");
 }
 
+#[test]
+fn weighted_kmeans_few_distinct_rows_shuffled() {
+    let cards = [6, 4, 3];
+    for seed in 0..4u64 {
+        let templates = random_rows(&cards, 7, seed + 21);
+        check_weighted(&cards, &repeat_shuffled(&templates, 900, seed), 5, seed);
+    }
+}
+
+#[test]
+fn weighted_kmeans_fewer_distinct_rows_than_k_reseeds() {
+    let cards = [5, 5];
+    let templates = vec![
+        vec![Some(0), Some(1)],
+        vec![Some(3), Some(4)],
+        vec![Some(2), Some(2)],
+    ];
+    for seed in 0..4u64 {
+        check_weighted(&cards, &repeat_shuffled(&templates, 120, seed), 8, seed);
+    }
+}
+
+#[test]
+fn weighted_kmeans_all_rows_identical() {
+    let cards = [4, 3];
+    let rows = vec![vec![Some(2), Some(1)]; 300];
+    for k in [1, 3, 6] {
+        check_weighted(&cards, &rows, k, 5);
+    }
+}
+
+#[test]
+fn weighted_kmeans_all_rows_distinct() {
+    // 30 × 25 = 750 distinct rows: more than two 256-row chunks, so the
+    // 2- and 4-thread runs split the distinct-row walk.
+    let cards = [30, 25];
+    let templates: Vec<Vec<Option<u32>>> = (0..30u32)
+        .flat_map(|a| (0..25u32).map(move |b| vec![Some(a), Some(b)]))
+        .collect();
+    let rows = repeat_shuffled(&templates, templates.len(), 17);
+    check_weighted(&cards, &rows, 6, 3);
+}
+
+#[test]
+fn weighted_kmeans_duplicates_with_null_codes() {
+    let cards = [5, 4, 3];
+    let templates = vec![
+        vec![None, Some(1), Some(2)],
+        vec![Some(4), None, None],
+        vec![None, None, None],
+        vec![Some(0), Some(3), None],
+        vec![Some(0), Some(3), Some(1)],
+    ];
+    for seed in 0..4u64 {
+        check_weighted(&cards, &repeat_shuffled(&templates, 700, seed), 4, seed);
+    }
+}
+
+#[test]
+fn weighted_kmeans_duplicates_after_width_promotion() {
+    let cards = [300, 4];
+    let mut templates = random_rows(&cards, 40, 29);
+    templates.push(vec![Some(299), Some(3)]);
+    templates.push(vec![Some(299), None]);
+    let rows = repeat_shuffled(&templates, 1200, 8);
+    let columns = columns_from(&cards, &rows);
+    let refs: Vec<&CodedColumn> = columns.iter().collect();
+    let matrix = PackedMatrix::from_columns(&refs, &(0..rows.len()).collect::<Vec<_>>()).unwrap();
+    assert!(!matrix.is_u8(), "cardinality 300 must promote to u16");
+    check_weighted(&cards, &rows, 7, 8);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Duplicate-heavy inputs: a handful of template rows (NULLs
+    /// included, attribute 0 straddling the u8/u16 boundary) repeated in
+    /// shuffled order, with `k` often above the distinct count.
+    #[test]
+    fn weighted_kmeans_matches_reference_on_duplicate_heavy_inputs(
+        card0 in 250usize..300,
+        raw in prop::collection::vec((0u32..300, 0u32..6, 0u32..10), 1..14),
+        n in 20usize..400,
+        k in 1usize..10,
+        seed in 0u64..1000,
+    ) {
+        let cards = [card0, 6];
+        let templates: Vec<Vec<Option<u32>>> = raw
+            .iter()
+            .map(|&(c0, c1, null_sel)| {
+                vec![
+                    if null_sel % 3 == 0 { None } else { Some(c0 % card0 as u32) },
+                    if null_sel % 4 == 1 { None } else { Some(c1) },
+                ]
+            })
+            .collect();
+        check_weighted(&cards, &repeat_shuffled(&templates, n, seed), k, seed);
+    }
 
     /// Satellite: arbitrary inputs spanning the u8/u16 promotion boundary.
     /// Attribute 0's cardinality ranges across 255/256 so some cases pack

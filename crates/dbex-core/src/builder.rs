@@ -311,7 +311,8 @@ fn cache_stats(cache: Option<&StatsCache>) -> CacheStats {
 /// │                        cache_hits, cache_misses
 /// ├ iunit_generation
 /// │ ├ encode_matrix        rows_scanned, attrs_encoded, cache_hits/misses
-/// │ └ cluster_partition    rows_clustered, candidates, degradations
+/// │ └ cluster_partition    rows_clustered, rows_distinct, candidates,
+/// │                        degradations
 /// └ topk
 ///   └ solve_partition      candidates, selected, greedy_solves
 /// ```
@@ -583,13 +584,13 @@ pub fn build_cad_view_traced(
     } else {
         1
     };
-    for (units, degraded, reused, warm) in dbex_par::par_map(
+    for candidates in dbex_par::par_map(
         threads,
         &selected_partitions,
         |_, (_, label, members)| {
             let span = gen_span.child("cluster_partition");
             gauge.charge_rows(members.len());
-            let (units, degraded, reused, warm) = generate_candidates(
+            let candidates = generate_candidates(
                 members,
                 &coded,
                 &space,
@@ -603,17 +604,18 @@ pub fn build_cad_view_traced(
                 result,
             );
             span.add("rows_clustered", members.len() as u64);
-            span.add("candidates", units.len() as u64);
-            span.add("degradations", degraded.len() as u64);
-            span.add("partitions_reused", reused as u64);
-            span.add("warm_starts", warm as u64);
-            (units, degraded, reused, warm)
+            span.add("rows_distinct", candidates.rows_distinct as u64);
+            span.add("candidates", candidates.units.len() as u64);
+            span.add("degradations", candidates.degradations.len() as u64);
+            span.add("partitions_reused", candidates.reused as u64);
+            span.add("warm_starts", candidates.warm_started as u64);
+            candidates
         },
     ) {
-        candidate_sets.push(units);
-        degradation.extend(degraded);
-        partitions_reused += reused as usize;
-        warm_starts += warm as usize;
+        candidate_sets.push(candidates.units);
+        degradation.extend(candidates.degradations);
+        partitions_reused += candidates.reused as usize;
+        warm_starts += candidates.warm_started as usize;
     }
     drop(gen_span);
     let timing_iunits = t1.elapsed();
@@ -851,7 +853,6 @@ fn warm_start_key(
 /// `reused` flag). Reuse is bypassed whenever it could diverge from a cold
 /// build: on any degraded rung, in warm-start mode, or while a cluster
 /// fault is armed on this thread (a cold build would descend the ladder).
-/// Returns `(units, degradations, reused, warm_started)`.
 #[allow(clippy::too_many_arguments)]
 fn generate_candidates(
     members: &[usize],
@@ -865,10 +866,10 @@ fn generate_candidates(
     pivot_label: &str,
     cache: Option<&dbex_stats::StatsCache>,
     result: &View<'_>,
-) -> (Vec<IUnit>, Vec<Degradation>, bool, bool) {
+) -> Candidates {
     let mut degradation = Vec::new();
     if members.is_empty() {
-        return (Vec::new(), degradation, false, false);
+        return Candidates::new(Vec::new(), degradation);
     }
     let adaptive_clamp =
         config.adaptive_iunits && members.len() > CadConfig::ADAPTIVE_THRESHOLD;
@@ -935,7 +936,10 @@ fn generate_candidates(
                         IUnit::from_members(mems, coded, &config.label)
                     })
                     .collect();
-                return (units, degradation, true, false);
+                return Candidates {
+                    reused: true,
+                    ..Candidates::new(units, degradation)
+                };
             }
             reuse_key = Some(key);
         }
@@ -960,7 +964,7 @@ fn generate_candidates(
             rung,
             warm,
         ) {
-            Ok((clusters, warm_started)) => {
+            Ok((clusters, warm_started, rows_distinct)) => {
                 if rung == ClusterRung::Full {
                     if let (Some(key), Some(cache)) = (reuse_key, cache) {
                         cache.cluster_insert(
@@ -984,7 +988,11 @@ fn generate_candidates(
                         IUnit::from_members(mems, coded, &config.label)
                     })
                     .collect();
-                return (units, degradation, false, warm_started);
+                return Candidates {
+                    warm_started,
+                    rows_distinct,
+                    ..Candidates::new(units, degradation)
+                };
             }
             Err(e) => match rung.next() {
                 Some(next) => {
@@ -1004,9 +1012,33 @@ fn generate_candidates(
                         reason: format!("all clustering fallbacks failed ({e})"),
                     });
                     let unit = IUnit::from_members(members.to_vec(), coded, &config.label);
-                    return (vec![unit], degradation, false, false);
+                    return Candidates::new(vec![unit], degradation);
                 }
             },
+        }
+    }
+}
+
+/// One partition's clustering outcome from [`generate_candidates`].
+struct Candidates {
+    units: Vec<IUnit>,
+    degradations: Vec<Degradation>,
+    /// Served from the cluster-reuse cache: no k-means ran.
+    reused: bool,
+    /// The k-means started from a previous build's centroids.
+    warm_started: bool,
+    /// Distinct rows the k-means passes walked (0 when none ran).
+    rows_distinct: usize,
+}
+
+impl Candidates {
+    fn new(units: Vec<IUnit>, degradations: Vec<Degradation>) -> Candidates {
+        Candidates {
+            units,
+            degradations,
+            reused: false,
+            warm_started: false,
+            rows_distinct: 0,
         }
     }
 }
@@ -1014,8 +1046,8 @@ fn generate_candidates(
 /// One attempt at clustering a partition on a specific ladder rung.
 ///
 /// Returns the non-empty clusters as **indices into `members`** (the
-/// representation the reuse cache stores, position-independent) plus
-/// whether the k-means was warm-seeded. The default path clusters on a
+/// representation the reuse cache stores, position-independent), whether
+/// the k-means was warm-seeded, and how many distinct rows it walked. The default path clusters on a
 /// [`PackedMatrix`] of `u8`/`u16` dictionary codes — no per-tuple one-hot
 /// vectors are materialized — and is bit-identical to the sparse one-hot
 /// reference, which remains both the oracle and the automatic fallback
@@ -1031,7 +1063,7 @@ fn cluster_partition(
     inner_threads: usize,
     rung: ClusterRung,
     warm: Option<(&dbex_stats::StatsCache, u64)>,
-) -> Result<(Vec<Vec<u32>>, bool), dbex_cluster::ClusterError> {
+) -> Result<(Vec<Vec<u32>>, bool, usize), dbex_cluster::ClusterError> {
     // Cluster a sample and assign the rest (Optimization 1). The sampled
     // rung forces a tiny cap regardless of configuration.
     let cap = match rung {
@@ -1167,6 +1199,7 @@ fn cluster_partition(
     Ok((
         clusters.into_iter().filter(|c| !c.is_empty()).collect(),
         warm_started,
+        km.distinct_rows,
     ))
 }
 
@@ -1618,5 +1651,31 @@ mod tests {
             .filter(&dbex_table::Predicate::eq("Make", "Tesla"))
             .unwrap();
         assert!(build_cad_view(&empty, &CadRequest::new("Make")).is_err());
+    }
+
+    #[test]
+    fn traced_cars_build_reports_distinct_rows_clustered() {
+        // Binned cars rows repeat, so k-means walks fewer distinct rows
+        // than it clusters; the span reports both for EXPLAIN ANALYZE.
+        let t = dbex_data::UsedCarsGenerator::new(7).generate(6_000);
+        let view = t.full_view();
+        let cache = StatsCache::new();
+        let cad = build_cad_view_traced(
+            &view,
+            &CadRequest::new("Make"),
+            Some(&cache),
+            &Tracer::enabled(),
+        )
+        .unwrap();
+        let trace = cad.trace.expect("a traced build carries its trace");
+        let span = trace
+            .find("cluster_partition")
+            .expect("cluster_partition span");
+        let distinct = span.counter("rows_distinct");
+        let clustered = span.counter("rows_clustered");
+        assert!(
+            0 < distinct && distinct <= clustered,
+            "rows_distinct={distinct} rows_clustered={clustered}"
+        );
     }
 }

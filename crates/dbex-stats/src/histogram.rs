@@ -73,18 +73,26 @@ impl Histogram {
         if bins == 0 {
             return Err(StatsError::ZeroBins);
         }
-        let mut sorted: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
-        if sorted.is_empty() {
+        let mut finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
+        if finite.is_empty() {
             return Err(StatsError::NoFiniteValues {
                 what: "histogram values",
             });
         }
-        sorted.sort_by(|a, b| a.total_cmp(b));
+        // Equi-width reads only the extremes and equi-depth only a few
+        // order statistics, so neither sorts; the edges are still those of
+        // the sorted values, bit for bit (`total_cmp` ties are equal bits).
         let edges = match strategy {
-            BinningStrategy::EquiWidth => equi_width_edges(&sorted, bins),
-            BinningStrategy::EquiDepth => equi_depth_edges(&sorted, bins),
-            BinningStrategy::VOptimal => v_optimal_edges(&sorted, bins),
-            BinningStrategy::MaxDiff => max_diff_edges(&sorted, bins),
+            BinningStrategy::EquiWidth => equi_width_edges(&finite, bins),
+            BinningStrategy::EquiDepth => equi_depth_edges(&mut finite, bins),
+            BinningStrategy::VOptimal | BinningStrategy::MaxDiff => {
+                finite.sort_by(f64::total_cmp);
+                if strategy == BinningStrategy::VOptimal {
+                    v_optimal_edges(&finite, bins)
+                } else {
+                    max_diff_edges(&finite, bins)
+                }
+            }
         };
         Ok(Histogram { edges })
     }
@@ -160,9 +168,19 @@ fn format_edge(v: f64) -> String {
     format!("{v:.1}")
 }
 
-fn equi_width_edges(sorted: &[f64], bins: usize) -> Vec<f64> {
-    let min = sorted[0];
-    let max = sorted[sorted.len() - 1];
+/// Equal-width edges over `[min, max]` of the (unsorted, finite, non-empty)
+/// `values`.
+fn equi_width_edges(values: &[f64], bins: usize) -> Vec<f64> {
+    let mut min = values[0];
+    let mut max = values[0];
+    for &v in values {
+        if v.total_cmp(&min).is_lt() {
+            min = v;
+        }
+        if v.total_cmp(&max).is_gt() {
+            max = v;
+        }
+    }
     if min == max {
         return vec![min, max + 1.0];
     }
@@ -175,16 +193,34 @@ fn equi_width_edges(sorted: &[f64], bins: usize) -> Vec<f64> {
     dedup_edges(edges)
 }
 
-fn equi_depth_edges(sorted: &[f64], bins: usize) -> Vec<f64> {
-    let n = sorted.len();
-    let mut edges = Vec::with_capacity(bins + 1);
-    edges.push(sorted[0]);
-    for i in 1..bins {
-        let idx = (i * n) / bins;
-        edges.push(sorted[idx.min(n - 1)]);
-    }
-    edges.push(sorted[n - 1]);
-    dedup_edges(edges)
+/// Equal-depth edges: the order statistics of ranks `0`, `⌊i·n/bins⌋`
+/// (`0 < i < bins`) and `n − 1` of the (finite, non-empty) `values`, which
+/// are reordered in place so that exactly those ranks sit at their sorted
+/// positions.
+fn equi_depth_edges(values: &mut [f64], bins: usize) -> Vec<f64> {
+    let n = values.len();
+    let mut ranks = Vec::with_capacity(bins + 1);
+    ranks.push(0);
+    ranks.extend((1..bins).map(|i| ((i * n) / bins).min(n - 1)));
+    ranks.push(n - 1);
+    let mut distinct = ranks.clone();
+    distinct.dedup();
+    select_ranks(values, &distinct, 0);
+    dedup_edges(ranks.into_iter().map(|r| values[r]).collect())
+}
+
+/// Moves the order statistic of every rank in `ranks` (strictly
+/// ascending, relative to the slice that starts at rank `offset`) to its
+/// sorted position: select the middle rank, then recurse into the two
+/// sides, so the cost is `O(n · log #ranks)` instead of a full sort.
+fn select_ranks(values: &mut [f64], ranks: &[usize], offset: usize) {
+    let mid = ranks.len() / 2;
+    let Some(&rank) = ranks.get(mid) else {
+        return;
+    };
+    let (below, _, above) = values.select_nth_unstable_by(rank - offset, f64::total_cmp);
+    select_ranks(below, &ranks[..mid], offset);
+    select_ranks(above, &ranks[mid + 1..], rank + 1);
 }
 
 /// V-optimal histogram via dynamic programming on the distinct-value
@@ -549,6 +585,79 @@ mod tests {
         let h = Histogram::build(&[1.0, 2.0], 4, BinningStrategy::MaxDiff).unwrap();
         assert!(h.num_bins() <= 2);
         assert_ne!(h.bin_of(1.0), h.bin_of(2.0));
+    }
+
+    /// The sort-based edges the selection paths must reproduce.
+    fn sorted_edges(values: &[f64], bins: usize, strategy: BinningStrategy) -> Vec<f64> {
+        let mut sorted: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        let n = sorted.len();
+        let edges = match strategy {
+            BinningStrategy::EquiWidth => {
+                let (min, max) = (sorted[0], sorted[n - 1]);
+                if min == max {
+                    return vec![min, max + 1.0];
+                }
+                let width = (max - min) / bins as f64;
+                let mut edges: Vec<f64> = (0..=bins).map(|i| min + width * i as f64).collect();
+                *edges.last_mut().unwrap() = max;
+                edges
+            }
+            _ => {
+                let mut edges = vec![sorted[0]];
+                edges.extend((1..bins).map(|i| sorted[((i * n) / bins).min(n - 1)]));
+                edges.push(sorted[n - 1]);
+                edges
+            }
+        };
+        dedup_edges(edges)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Equi-width and equi-depth select their edges without sorting;
+        /// the edges must equal the sort-based ones bit for bit, over
+        /// duplicates, both zeros and filtered non-finite values.
+        #[test]
+        fn selected_edges_equal_sorted_edges(
+            raw in proptest::prelude::prop::collection::vec((0u32..10, -40i32..40), 1..160),
+            spread in 1i32..8,
+            bins in 1usize..12,
+        ) {
+            // Small spreads make heavy duplicates; spread 1 leaves only
+            // zeros of either sign among the finite values.
+            let values: Vec<f64> = raw
+                .iter()
+                .map(|&(kind, x)| match kind {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => f64::NAN,
+                    3 => f64::INFINITY,
+                    4 => f64::NEG_INFINITY,
+                    5 => f64::from(x % spread) / 8.0,
+                    _ => f64::from(x % spread),
+                })
+                .collect();
+            let strategies = if values.iter().any(|v| v.is_finite()) {
+                vec![BinningStrategy::EquiWidth, BinningStrategy::EquiDepth]
+            } else {
+                Vec::new()
+            };
+            for strategy in strategies {
+                let got: Vec<u64> = Histogram::build(&values, bins, strategy)
+                    .unwrap()
+                    .edges()
+                    .iter()
+                    .map(|e| e.to_bits())
+                    .collect();
+                let want: Vec<u64> = sorted_edges(&values, bins, strategy)
+                    .iter()
+                    .map(|e| e.to_bits())
+                    .collect();
+                proptest::prop_assert_eq!(got, want, "{:?} over {:?}", strategy, values);
+            }
+        }
     }
 
     #[test]
