@@ -65,9 +65,10 @@ struct Knobs {
     /// the best wave. The workload itself is fully seeded, so the
     /// counts are identical across waves and reported from the first.
     repeats: usize,
-    /// Sessions opt into `.stream on` (the default): expensive CAD
-    /// builds answer with a preview frame before the exact one, and
-    /// TTFR measures the first frame. `--no-stream` measures the
+    /// Sessions opt into `.stream on` (the default): CAD builds with
+    /// enough uncached clustering work answer with a preview frame
+    /// before the exact one (`previewed_ops` counts them), and TTFR
+    /// measures the first frame. `--no-stream` measures the
     /// single-frame protocol for an A/B on the same workload.
     streamed: bool,
     session_counts: Vec<usize>,

@@ -120,6 +120,7 @@ impl ExecBudget {
             budget: self,
             started: Instant::now(),
             manual_start,
+            excluded: Duration::ZERO,
             rows_spent: AtomicU64::new(0),
         }
     }
@@ -133,18 +134,28 @@ pub struct BudgetGauge<'a> {
     budget: &'a ExecBudget,
     started: Instant,
     manual_start: u64,
+    /// Time taken off [`Self::elapsed`] by [`Self::exclude`].
+    excluded: Duration,
     rows_spent: AtomicU64,
 }
 
 impl BudgetGauge<'_> {
-    /// Time elapsed since [`ExecBudget::start`], on the configured clock.
+    /// Time elapsed since [`ExecBudget::start`], on the configured clock,
+    /// minus any time [`Self::exclude`]d.
     pub fn elapsed(&self) -> Duration {
-        match &self.budget.clock {
+        let raw = match &self.budget.clock {
             ClockSource::System => self.started.elapsed(),
             ClockSource::Manual(ms) => {
                 Duration::from_millis(ms.load(Ordering::Relaxed).saturating_sub(self.manual_start))
             }
-        }
+        };
+        raw.saturating_sub(self.excluded)
+    }
+
+    /// Takes `spent` off the measured time: work the build did that is
+    /// not its own (a streamed preview) must not move its deadline.
+    pub fn exclude(&mut self, spent: Duration) {
+        self.excluded += spent;
     }
 
     /// True once the build has been cancelled (see

@@ -29,12 +29,13 @@ use dbex_stats::discretize::{AttributeCodec, CodedColumn, CodedMatrix};
 use dbex_stats::feature::{
     select_compare_attributes_ctx, FeatureScorer, FeatureSelectionConfig, ScoringCtx,
 };
-use dbex_obs::Tracer;
+use dbex_obs::{Span, Tracer};
 use dbex_stats::histogram::BinningStrategy;
 use dbex_stats::{CacheStats, StatsCache};
 use dbex_table::dict::NULL_CODE;
 use dbex_table::{DataType, View};
 use dbex_topk::{div_astar, greedy, ConflictGraph};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How IUnits are scored for the top-k ranking (Problem 2's preference
@@ -320,12 +321,44 @@ fn cache_stats(cache: Option<&StatsCache>) -> CacheStats {
 /// `cluster_partition` / `solve_partition` run once per pivot value —
 /// possibly on pool workers — and merge into a single node, so the tree
 /// and every counter are byte-identical at any thread count; only the
-/// recorded durations differ.
+/// recorded durations differ. A streamed build (see
+/// [`build_cad_view_streamed`]) that emits a preview also records an
+/// `iunit_generation › preview` span (`rows_sampled`,
+/// `partitions_sampled`) with its own `solve_partition` child.
 pub fn build_cad_view_traced(
     result: &View<'_>,
     request: &CadRequest,
     cache: Option<&StatsCache>,
     tracer: &Tracer,
+) -> Result<CadView, CadError> {
+    build_cad_view_streamed(result, request, cache, tracer, None)
+}
+
+/// Result-size floor for a streamed preview: a build emits one only when
+/// the partitions that missed cluster reuse hold at least this many rows.
+/// Below it the exact clustering is itself interactive, so a preview
+/// would only add work.
+pub const PREVIEW_MIN_ROWS: usize = 2_000;
+
+/// [`build_cad_view_traced`] that may hand `preview` a cheap view first.
+///
+/// After compare-attribute selection and encoding, the build probes the
+/// cluster-reuse cache for every partition. When a `preview` sink is
+/// given, the deadline has not passed, and the partitions that missed
+/// reuse hold at least [`PREVIEW_MIN_ROWS`] rows, the sink receives a
+/// preview view: reused partitions keep their exact IUnits, missed ones
+/// are clustered on the degradation ladder's sampled rung (recorded as a
+/// `sampled-clustering` degradation). Then the build clusters the missed
+/// partitions exactly. The returned view is identical to an unstreamed
+/// build's: the preview is never cached, its rows are not charged to the
+/// budget, and its time is excluded from the deadline. With `None` this
+/// is [`build_cad_view_traced`].
+pub fn build_cad_view_streamed(
+    result: &View<'_>,
+    request: &CadRequest,
+    cache: Option<&StatsCache>,
+    tracer: &Tracer,
+    preview: Option<&mut dyn FnMut(CadView)>,
 ) -> Result<CadView, CadError> {
     let build_start = Instant::now();
     dbex_obs::counter!("cad.builds").incr(1);
@@ -334,7 +367,7 @@ pub fn build_cad_view_traced(
     // `metrics`/EXPLAIN ANALYZE can attribute build timings to the
     // hardware path actually taken (codes from `SimdDispatch::code`).
     dbex_obs::gauge!("cluster.kernel_dispatch").set(dbex_stats::simd::dispatch().code());
-    let gauge = request.budget.start();
+    let mut gauge = request.budget.start();
     let mut degradation: Vec<Degradation> = Vec::new();
     let schema = result.table().schema();
     let pivot_col = schema.index_of(&request.pivot)?;
@@ -541,6 +574,11 @@ pub fn build_cad_view_traced(
     if coded.is_empty() {
         return Err(CadError::NoCompareAttributes);
     }
+    // Resolve the preference before any clustering, so a bad one fails
+    // fast (and before a preview can stream), and so the per-partition
+    // ranking is infallible (a pool worker has no way to surface a typed
+    // error mid-map).
+    let pref = resolve_preference(result, &request.preference)?;
     enc_span.add("rows_scanned", (result.len() * coded.len()) as u64);
     enc_span.add("attrs_encoded", coded.len() as u64);
     let enc_cache_after = cache_stats(cache);
@@ -552,6 +590,26 @@ pub fn build_cad_view_traced(
     drop(enc_span);
     let space = OneHotSpace::from_columns(&coded);
     let k = request.iunits;
+    let tau = request.config.tau_fraction * coded.len() as f64;
+    let view_of = |rows: Vec<CadRow>, degradation: Vec<Degradation>, feature_scores| CadView {
+        pivot_attr: pivot_col,
+        pivot_name: request.pivot.clone(),
+        compare_attrs: live_attrs.clone(),
+        compare_names: live_attrs
+            .iter()
+            .map(|&i| schema.field(i).name.clone())
+            .collect(),
+        k,
+        tau,
+        rows,
+        feature_scores,
+        timings: CadTimings::default(),
+        threads_used: threads,
+        degradation,
+        partitions_reused: 0,
+        warm_starts: 0,
+        trace: None,
+    };
 
     // Iteration-cap clamping is recorded once, not per partition.
     let kmeans_iters = gauge.clamp_iters(request.config.kmeans_iters);
@@ -566,14 +624,6 @@ pub fn build_cad_view_traced(
         });
     }
 
-    // Fan the per-pivot-value work (clustering + labeling) across the
-    // pool. Each partition is independent and seeded identically to the
-    // sequential path, and `par_map` returns results in partition order,
-    // so the output — including the degradation log — is byte-identical
-    // at any thread count.
-    let mut candidate_sets: Vec<Vec<IUnit>> = Vec::with_capacity(selected_partitions.len());
-    let mut partitions_reused = 0usize;
-    let mut warm_starts = 0usize;
     // When there are fewer partitions than workers (few pivot values, the
     // common shape on real datasets), the leftover parallelism moves
     // *inside* each partition: the packed kernel splits its row walk into
@@ -584,63 +634,182 @@ pub fn build_cad_view_traced(
     } else {
         1
     };
-    for candidates in dbex_par::par_map(
-        threads,
-        &selected_partitions,
-        |_, (_, label, members)| {
-            let span = gen_span.child("cluster_partition");
-            gauge.charge_rows(members.len());
-            let candidates = generate_candidates(
+    // Probe every partition's cluster-reuse key before clustering any of
+    // them, so the build knows how much clustering work is left.
+    let jobs: Vec<PartitionJob<'_>> =
+        dbex_par::par_map(threads, &selected_partitions, |i, _| {
+            let (_, label, members) = &selected_partitions[i];
+            probe_partition(
                 members,
+                label,
                 &coded,
-                &space,
                 k,
                 &request.config,
                 kmeans_iters,
-                inner_threads,
                 &gauge,
-                label,
                 cache,
                 result,
-            );
-            span.add("rows_clustered", members.len() as u64);
-            span.add("rows_distinct", candidates.rows_distinct as u64);
-            span.add("candidates", candidates.units.len() as u64);
-            span.add("degradations", candidates.degradations.len() as u64);
-            span.add("partitions_reused", candidates.reused as u64);
-            span.add("warm_starts", candidates.warm_started as u64);
-            candidates
-        },
-    ) {
+            )
+        });
+    let rows_missed: usize = jobs
+        .iter()
+        .filter(|job| job.hit.is_none())
+        .map(|job| job.members.len())
+        .sum();
+    if let Some(sink) = preview {
+        if rows_missed >= PREVIEW_MIN_ROWS && !gauge.time_exhausted() {
+            let before = gauge.elapsed();
+            let span = gen_span.child("preview");
+            span.add("rows_sampled", rows_missed as u64);
+            let preview_units: Option<Vec<_>> = dbex_par::par_map(threads, &jobs, |_, job| {
+                let config = &request.config;
+                preview_candidates(job, &coded, &space, config, kmeans_iters, inner_threads)
+            })
+            .into_iter()
+            .collect();
+            // A sampled rung that fails (an armed cluster fault) drops
+            // the preview; the exact build below degrades on its own.
+            if let Some(preview_units) = preview_units {
+                let mut preview_degradation = degradation.clone();
+                let mut staged = Vec::with_capacity(jobs.len());
+                for ((code, label, _), (units, sampled)) in
+                    selected_partitions.iter().zip(preview_units)
+                {
+                    preview_degradation.extend(sampled);
+                    staged.push((*code, label.clone(), units));
+                }
+                let sampled = preview_degradation.len() - degradation.len();
+                span.add("partitions_sampled", sampled as u64);
+                let rows = rank_partitions(
+                    staged,
+                    result,
+                    &pref,
+                    tau,
+                    k,
+                    threads,
+                    &gauge,
+                    &span,
+                    &mut preview_degradation,
+                );
+                sink(CadView {
+                    partitions_reused: jobs.iter().filter(|job| job.hit.is_some()).count(),
+                    ..view_of(rows, preview_degradation, scores.clone())
+                });
+            }
+            drop(span);
+            // The preview is not this build's work: its time must not
+            // move the exact build's deadline.
+            let spent = gauge.elapsed().saturating_sub(before);
+            gauge.exclude(spent);
+        }
+    }
+
+    // Fan the per-pivot-value work (clustering + labeling) across the
+    // pool. Each partition is independent and seeded identically to the
+    // sequential path, and `par_map` returns results in partition order,
+    // so the output — including the degradation log — is byte-identical
+    // at any thread count.
+    let mut candidate_sets: Vec<Vec<IUnit>> = Vec::with_capacity(jobs.len());
+    let mut partitions_reused = 0usize;
+    let mut warm_starts = 0usize;
+    for candidates in dbex_par::par_map(threads, &jobs, |_, job| {
+        let span = gen_span.child("cluster_partition");
+        gauge.charge_rows(job.members.len());
+        let candidates = generate_candidates(
+            job,
+            &coded,
+            &space,
+            &request.config,
+            kmeans_iters,
+            inner_threads,
+            &gauge,
+            cache,
+            result,
+        );
+        span.add("rows_clustered", job.members.len() as u64);
+        span.add("rows_distinct", candidates.rows_distinct as u64);
+        span.add("candidates", candidates.units.len() as u64);
+        span.add("degradations", candidates.degradations.len() as u64);
+        span.add("partitions_reused", candidates.reused as u64);
+        span.add("warm_starts", candidates.warm_started as u64);
+        candidates
+    }) {
         candidate_sets.push(candidates.units);
         degradation.extend(candidates.degradations);
         partitions_reused += candidates.reused as usize;
         warm_starts += candidates.warm_started as usize;
     }
+    drop(jobs);
     drop(gen_span);
     let timing_iunits = t1.elapsed();
 
     // --- Stage 3: preference scores + diversified top-k (Problem 2) ---
     let t2 = Instant::now();
-    let tau = request.config.tau_fraction * coded.len() as f64;
-    // Resolve the preference once so the per-partition work is infallible
-    // (a pool worker has no way to surface a typed error mid-map).
-    let pref = resolve_preference(result, &request.preference)?;
     let staged: Vec<(u32, String, Vec<IUnit>)> = selected_partitions
         .into_iter()
         .zip(candidate_sets)
         .map(|((code, label, _members), units)| (code, label, units))
         .collect();
-    // Per partition: preference scores, similarity graph, top-k solve.
-    // Past the deadline, div-astar's exact search gives way to the greedy
-    // heuristic (recorded once, after the fan-out). The clock is monotone,
-    // so the sequential path degrades every partition after the first
-    // exhausted one, exactly as before.
     let topk_span = root.child("topk");
+    let rows = rank_partitions(
+        staged,
+        result,
+        &pref,
+        tau,
+        k,
+        threads,
+        &gauge,
+        &topk_span,
+        &mut degradation,
+    );
+    drop(topk_span);
+    let timing_others = t2.elapsed();
+
+    root.add("degradations", degradation.len() as u64);
+    root.add(
+        "degradation_level",
+        degradation.iter().map(|d| d.kind.severity()).max().unwrap_or(0),
+    );
+    drop(root);
+    let trace = tracer.finish();
+    dbex_obs::counter!("cad.degradations").incr(degradation.len() as u64);
+    build_ms_histogram().observe_ms(build_start.elapsed());
+
+    Ok(CadView {
+        timings: CadTimings {
+            compare_attrs: timing_compare,
+            iunit_generation: timing_iunits,
+            others: timing_others,
+        },
+        partitions_reused,
+        warm_starts,
+        trace,
+        ..view_of(rows, degradation, scores)
+    })
+}
+
+/// Stage 3 over every partition: preference scores, similarity graph and
+/// top-k solve, then the CAD rows in partition order. Past the deadline,
+/// div-astar's exact search gives way to the greedy heuristic, recorded
+/// once in `degradation` after the fan-out. The clock is monotone, so the
+/// sequential path degrades every partition after the first exhausted
+/// one.
+#[allow(clippy::too_many_arguments)]
+fn rank_partitions(
+    staged: Vec<(u32, String, Vec<IUnit>)>,
+    result: &View<'_>,
+    pref: &PrefSpec,
+    tau: f64,
+    k: usize,
+    threads: usize,
+    gauge: &BudgetGauge<'_>,
+    span: &Span<'_>,
+    degradation: &mut Vec<Degradation>,
+) -> Vec<CadRow> {
     let solved: Vec<(Vec<usize>, Vec<f64>, bool)> =
         dbex_par::par_map(threads, &staged, |_, (_, _, units)| {
-            let span = topk_span.child("solve_partition");
-            let scores = preference_scores(units, result, &pref);
+            let span = span.child("solve_partition");
+            let scores = preference_scores(units, result, pref);
             let graph = ConflictGraph::from_similarity(
                 units.len(),
                 |a, b| iunit_similarity(&units[a], &units[b]),
@@ -701,42 +870,7 @@ pub fn build_cad_view_traced(
             ),
         });
     }
-    drop(topk_span);
-    let timing_others = t2.elapsed();
-
-    root.add("degradations", degradation.len() as u64);
-    root.add(
-        "degradation_level",
-        degradation.iter().map(|d| d.kind.severity()).max().unwrap_or(0),
-    );
-    drop(root);
-    let trace = tracer.finish();
-    dbex_obs::counter!("cad.degradations").incr(degradation.len() as u64);
-    build_ms_histogram().observe_ms(build_start.elapsed());
-
-    Ok(CadView {
-        pivot_attr: pivot_col,
-        pivot_name: request.pivot.clone(),
-        compare_attrs: live_attrs.clone(),
-        compare_names: live_attrs
-            .iter()
-            .map(|&i| schema.field(i).name.clone())
-            .collect(),
-        k,
-        tau,
-        rows,
-        feature_scores: scores,
-        timings: CadTimings {
-            compare_attrs: timing_compare,
-            iunit_generation: timing_iunits,
-            others: timing_others,
-        },
-        threads_used: threads,
-        degradation,
-        partitions_reused,
-        warm_starts,
-        trace,
-    })
+    rows
 }
 
 /// The global build-latency histogram (fixed bounds: interactive-latency
@@ -751,6 +885,15 @@ fn build_ms_histogram() -> std::sync::Arc<dbex_obs::Histogram> {
 
 /// Sample cap used by the last clustering rung under an exhausted budget.
 const DEGRADED_SAMPLE_CAP: usize = 256;
+
+/// Rows the sampled rung clusters at most: the configured sample, capped
+/// at [`DEGRADED_SAMPLE_CAP`].
+fn sampled_rung_cap(config: &CadConfig) -> usize {
+    config
+        .cluster_sample
+        .unwrap_or(DEGRADED_SAMPLE_CAP)
+        .min(DEGRADED_SAMPLE_CAP)
+}
 
 /// Rungs of the degradation ladder, in order of decreasing fidelity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -838,6 +981,135 @@ fn warm_start_key(
     hash
 }
 
+/// One pivot partition's clustering job, as the reuse probe left it.
+struct PartitionJob<'p> {
+    members: &'p [usize],
+    label: &'p str,
+    /// Candidate IUnits to generate (`l`).
+    l: usize,
+    /// The cluster-reuse key, when the partition is eligible for reuse.
+    key: Option<ClusterKey>,
+    /// The memoized solution found under `key`.
+    hit: Option<Arc<ClusterSolution>>,
+}
+
+/// The reuse probe: sizes a partition's candidate set and, when exact
+/// reuse is possible, looks up its cluster-reuse key.
+///
+/// Reuse is bypassed whenever it could diverge from a cold build: on a
+/// degraded rung (an exhausted deadline or an over-budget partition —
+/// such rungs are shaped by transient budget state), in warm-start mode
+/// (warm results are history-dependent), or while a cluster fault is
+/// armed on this thread (a cold build would descend the ladder, so a
+/// cache hit would diverge from it).
+#[allow(clippy::too_many_arguments)]
+fn probe_partition<'p>(
+    members: &'p [usize],
+    label: &'p str,
+    coded: &[&CodedColumn],
+    k: usize,
+    config: &CadConfig,
+    kmeans_iters: usize,
+    gauge: &BudgetGauge<'_>,
+    cache: Option<&StatsCache>,
+    result: &View<'_>,
+) -> PartitionJob<'p> {
+    let adaptive_clamp =
+        config.adaptive_iunits && members.len() > CadConfig::ADAPTIVE_THRESHOLD;
+    let l = if adaptive_clamp {
+        k
+    } else {
+        ((config.candidate_factor * k as f64).ceil() as usize).max(k)
+    };
+    let mut job = PartitionJob {
+        members,
+        label,
+        l,
+        key: None,
+        hit: None,
+    };
+    let full_rung = !gauge.time_exhausted() && !gauge.rows_exhausted(members.len());
+    let faults_clear = dbex_cluster::fault::check("cluster::kmeans").is_ok()
+        && dbex_cluster::fault::check("cluster::minibatch").is_ok();
+    if let Some(cache) = cache {
+        if !members.is_empty() && full_rung && !config.warm_start && faults_clear {
+            let key = ClusterKey {
+                partition_fp: partition_fingerprint(result, members, coded),
+                l,
+                iters: kmeans_iters,
+                seed: config.seed,
+                plus_plus: config.plus_plus,
+                sample: config.cluster_sample.unwrap_or(usize::MAX),
+            };
+            job.hit = cache.cluster_lookup(&key);
+            job.key = Some(key);
+        }
+    }
+    job
+}
+
+/// IUnits for clusters given as indices into `members`.
+fn units_of(
+    clusters: &[Vec<u32>],
+    members: &[usize],
+    coded: &[&CodedColumn],
+    label: &LabelConfig,
+) -> Vec<IUnit> {
+    clusters
+        .iter()
+        .map(|cluster| {
+            let mems: Vec<usize> = cluster
+                .iter()
+                .filter_map(|&i| members.get(i as usize).copied())
+                .collect();
+            IUnit::from_members(mems, coded, label)
+        })
+        .collect()
+}
+
+/// A partition's IUnits for a streamed preview: the exact ones when the
+/// probe found them, else the sampled rung's, with the degradation that
+/// records it. Nothing is cached and no rows are charged. `None` when the
+/// sampled rung fails.
+fn preview_candidates(
+    job: &PartitionJob<'_>,
+    coded: &[&CodedColumn],
+    space: &OneHotSpace,
+    config: &CadConfig,
+    kmeans_iters: usize,
+    inner_threads: usize,
+) -> Option<(Vec<IUnit>, Option<Degradation>)> {
+    if let Some(solution) = &job.hit {
+        let units = units_of(&solution.clusters, job.members, coded, &config.label);
+        return Some((units, None));
+    }
+    if job.members.is_empty() {
+        return Some((Vec::new(), None));
+    }
+    let (clusters, _, _) = cluster_partition(
+        job.members,
+        coded,
+        space,
+        job.l,
+        config,
+        kmeans_iters,
+        inner_threads,
+        ClusterRung::Sampled,
+        None,
+    )
+    .ok()?;
+    let sampled = Degradation {
+        kind: DegradationKind::SampledClustering,
+        pivot_value: Some(job.label.to_owned()),
+        reason: format!(
+            "preview: clustered a {}-row sample; the exact build follows",
+            sampled_rung_cap(config).min(job.members.len())
+        ),
+    };
+    let units = units_of(&clusters, job.members, coded, &config.label);
+    Some((units, Some(sampled)))
+}
+
 /// Clusters one pivot partition into `l` candidate IUnits.
 ///
 /// Budget exhaustion and clustering failures never propagate: the ladder
@@ -850,34 +1122,30 @@ fn warm_start_key(
 /// With a [`StatsCache`], full-fidelity solutions are memoized per
 /// partition fingerprint, so a facet refinement that leaves this pivot
 /// value's rows untouched skips re-clustering entirely (the returned
-/// `reused` flag). Reuse is bypassed whenever it could diverge from a cold
-/// build: on any degraded rung, in warm-start mode, or while a cluster
-/// fault is armed on this thread (a cold build would descend the ladder).
+/// `reused` flag): the solution [`probe_partition`] found is used when
+/// the partition still runs on the full rung.
 #[allow(clippy::too_many_arguments)]
 fn generate_candidates(
-    members: &[usize],
+    job: &PartitionJob<'_>,
     coded: &[&CodedColumn],
     space: &OneHotSpace,
-    k: usize,
     config: &CadConfig,
     kmeans_iters: usize,
     inner_threads: usize,
     gauge: &BudgetGauge<'_>,
-    pivot_label: &str,
-    cache: Option<&dbex_stats::StatsCache>,
+    cache: Option<&StatsCache>,
     result: &View<'_>,
 ) -> Candidates {
+    let PartitionJob {
+        members,
+        label: pivot_label,
+        l,
+        ..
+    } = *job;
     let mut degradation = Vec::new();
     if members.is_empty() {
         return Candidates::new(Vec::new(), degradation);
     }
-    let adaptive_clamp =
-        config.adaptive_iunits && members.len() > CadConfig::ADAPTIVE_THRESHOLD;
-    let l = if adaptive_clamp {
-        k
-    } else {
-        ((config.candidate_factor * k as f64).ceil() as usize).max(k)
-    };
 
     // Pick the starting rung from the budget state.
     let mut rung = if gauge.time_exhausted() {
@@ -906,42 +1174,14 @@ fn generate_candidates(
         ClusterRung::Full
     };
 
-    // Exact cluster reuse: only at full fidelity (degraded rungs are shaped
-    // by transient budget state), only outside warm-start mode (warm
-    // results are history-dependent), and only with no armed cluster fault
-    // (a cold build would degrade, so a cache hit would diverge from it).
-    let faults_clear = dbex_cluster::fault::check("cluster::kmeans").is_ok()
-        && dbex_cluster::fault::check("cluster::minibatch").is_ok();
-    let mut reuse_key = None;
-    if rung == ClusterRung::Full && !config.warm_start && faults_clear {
-        if let Some(cache) = cache {
-            let key = ClusterKey {
-                partition_fp: partition_fingerprint(result, members, coded),
-                l,
-                iters: kmeans_iters,
-                seed: config.seed,
-                plus_plus: config.plus_plus,
-                sample: config.cluster_sample.unwrap_or(usize::MAX),
+    if rung == ClusterRung::Full {
+        if let Some(solution) = &job.hit {
+            dbex_obs::counter!("cluster.partitions_reused").incr(1);
+            let units = units_of(&solution.clusters, members, coded, &config.label);
+            return Candidates {
+                reused: true,
+                ..Candidates::new(units, degradation)
             };
-            if let Some(solution) = cache.cluster_lookup(&key) {
-                dbex_obs::counter!("cluster.partitions_reused").incr(1);
-                let units = solution
-                    .clusters
-                    .iter()
-                    .map(|cluster| {
-                        let mems: Vec<usize> = cluster
-                            .iter()
-                            .filter_map(|&i| members.get(i as usize).copied())
-                            .collect();
-                        IUnit::from_members(mems, coded, &config.label)
-                    })
-                    .collect();
-                return Candidates {
-                    reused: true,
-                    ..Candidates::new(units, degradation)
-                };
-            }
-            reuse_key = Some(key);
         }
     }
 
@@ -966,7 +1206,7 @@ fn generate_candidates(
         ) {
             Ok((clusters, warm_started, rows_distinct)) => {
                 if rung == ClusterRung::Full {
-                    if let (Some(key), Some(cache)) = (reuse_key, cache) {
+                    if let (Some(key), Some(cache)) = (job.key, cache) {
                         cache.cluster_insert(
                             key,
                             ClusterSolution {
@@ -978,16 +1218,7 @@ fn generate_candidates(
                 if warm_started {
                     dbex_obs::counter!("cluster.warm_starts").incr(1);
                 }
-                let units = clusters
-                    .iter()
-                    .map(|cluster| {
-                        let mems: Vec<usize> = cluster
-                            .iter()
-                            .filter_map(|&i| members.get(i as usize).copied())
-                            .collect();
-                        IUnit::from_members(mems, coded, &config.label)
-                    })
-                    .collect();
+                let units = units_of(&clusters, members, coded, &config.label);
                 return Candidates {
                     warm_started,
                     rows_distinct,
@@ -1067,12 +1298,7 @@ fn cluster_partition(
     // Cluster a sample and assign the rest (Optimization 1). The sampled
     // rung forces a tiny cap regardless of configuration.
     let cap = match rung {
-        ClusterRung::Sampled => Some(
-            config
-                .cluster_sample
-                .unwrap_or(DEGRADED_SAMPLE_CAP)
-                .min(DEGRADED_SAMPLE_CAP),
-        ),
+        ClusterRung::Sampled => Some(sampled_rung_cap(config)),
         _ => config.cluster_sample,
     };
     // Train/holdout split as member-list indices; positions are looked up
@@ -1439,12 +1665,22 @@ mod tests {
     fn categorical_preference_attribute_rejected() {
         let t = table();
         let view = t.full_view();
-        let err = build_cad_view(
+        let tracer = Tracer::enabled();
+        let err = build_cad_view_traced(
             &view,
             &CadRequest::new("Make")
                 .with_preference(Preference::AttributeAsc("Color".into())),
+            None,
+            &tracer,
         );
-        assert!(err.is_err());
+        assert!(
+            matches!(err, Err(CadError::NonNumericPreference { .. })),
+            "{err:?}"
+        );
+        // The preference is checked before clustering: no k-means ran.
+        let trace = tracer.finish().expect("an enabled tracer yields a trace");
+        assert!(trace.find("encode_matrix").is_some());
+        assert!(trace.find("cluster_partition").is_none());
     }
 
     #[test]
@@ -1651,6 +1887,96 @@ mod tests {
             .filter(&dbex_table::Predicate::eq("Make", "Tesla"))
             .unwrap();
         assert!(build_cad_view(&empty, &CadRequest::new("Make")).is_err());
+    }
+
+    /// Streams `request` over `view`, returning the exact view and every
+    /// preview the sink received.
+    fn streamed(
+        view: &View<'_>,
+        request: &CadRequest,
+        cache: &StatsCache,
+        tracer: &Tracer,
+    ) -> (CadView, Vec<CadView>) {
+        let mut previews = Vec::new();
+        let mut sink = |p: CadView| previews.push(p);
+        let cad =
+            build_cad_view_streamed(view, request, Some(cache), tracer, Some(&mut sink)).unwrap();
+        (cad, previews)
+    }
+
+    #[test]
+    fn streamed_build_previews_only_uncached_work() {
+        let t = dbex_data::UsedCarsGenerator::new(7).generate(6_000);
+        let view = t.full_view();
+        let request = CadRequest::new("Make");
+        let unstreamed =
+            build_cad_view_cached(&view, &request, Some(&StatsCache::new())).unwrap();
+
+        let cache = StatsCache::new();
+        let tracer = Tracer::enabled();
+        let (cold, previews) = streamed(&view, &request, &cache, &tracer);
+        assert_eq!(view_digest(&cold), view_digest(&unstreamed));
+        assert_eq!(previews.len(), 1, "a cold build over 6000 rows previews once");
+        let preview = &previews[0];
+        assert_eq!(preview.compare_names, cold.compare_names);
+        assert_eq!(preview.rows.len(), cold.rows.len());
+        assert!(preview.degradation.iter().all(|d| {
+            d.kind == DegradationKind::SampledClustering && d.reason.starts_with("preview")
+        }));
+        let span = cold
+            .trace
+            .as_ref()
+            .and_then(|trace| trace.find("preview"))
+            .expect("the exact trace records the preview");
+        assert_eq!(span.counter("partitions_sampled"), preview.degradation.len() as u64);
+
+        // Every partition is now reusable: no clustering work, no preview.
+        let (warm, previews) = streamed(&view, &request, &cache, &Tracer::disabled());
+        assert!(previews.is_empty());
+        assert_eq!(warm.partitions_reused, warm.rows.len());
+        assert_eq!(view_digest(&warm), view_digest(&unstreamed));
+    }
+
+    #[test]
+    fn preview_time_does_not_count_toward_the_deadline() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        let t = dbex_data::UsedCarsGenerator::new(7).generate(3_000);
+        let view = t.full_view();
+        let clock = Arc::new(AtomicU64::new(0));
+        let request = CadRequest::new("Make").with_budget(
+            ExecBudget::unlimited()
+                .with_time_limit(Duration::from_millis(50))
+                .with_manual_clock(Arc::clone(&clock)),
+        );
+        let unstreamed = build_cad_view(&view, &request).unwrap();
+        assert!(!unstreamed.is_degraded());
+        // A preview that "takes" a second must leave the exact build
+        // inside its 50 ms deadline.
+        let mut previews = 0;
+        let mut sink = |_: CadView| {
+            previews += 1;
+            clock.fetch_add(1_000, Ordering::Relaxed);
+        };
+        let cad =
+            build_cad_view_streamed(&view, &request, None, &Tracer::disabled(), Some(&mut sink))
+                .unwrap();
+        assert_eq!(previews, 1);
+        assert_eq!(view_digest(&cad), view_digest(&unstreamed));
+    }
+
+    #[test]
+    fn expired_builds_never_preview() {
+        let big = dbex_data::UsedCarsGenerator::new(7).generate(3_000);
+        let expired = CadRequest::new("Make").with_budget(
+            ExecBudget::unlimited()
+                .with_time_limit(Duration::ZERO)
+                .with_manual_clock(Arc::new(std::sync::atomic::AtomicU64::new(0))),
+        );
+        let (cad, previews) =
+            streamed(&big.full_view(), &expired, &StatsCache::new(), &Tracer::disabled());
+        assert!(previews.is_empty(), "a build past its deadline has no time for a preview");
+        assert!(cad.is_degraded());
     }
 
     #[test]

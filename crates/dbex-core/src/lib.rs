@@ -40,8 +40,8 @@ pub mod tpfacet;
 
 pub use budget::{BudgetGauge, ClockSource, Degradation, DegradationKind, ExecBudget};
 pub use builder::{
-    build_cad_view, build_cad_view_cached, build_cad_view_traced, CadConfig, CadRequest,
-    CadTimings, Preference,
+    build_cad_view, build_cad_view_cached, build_cad_view_streamed, build_cad_view_traced,
+    CadConfig, CadRequest, CadTimings, Preference, PREVIEW_MIN_ROWS,
 };
 // Re-exported so clients can trace builds and inspect the resulting span
 // trees without depending on dbex-obs directly.

@@ -52,9 +52,11 @@ pub struct SimConfig {
     /// passed to [`run_sim`]).
     pub cache_sample_every: Duration,
     /// Opt every session into the server's progressive responses
-    /// (`.stream on`): expensive CAD builds then answer with a sampled
-    /// preview frame before the exact final frame, and TTFR measures the
-    /// *first* frame — the paper's "first result on screen" moment.
+    /// (`.stream on`): a CAD build with at least
+    /// `dbex_core::PREVIEW_MIN_ROWS` rows the cluster-reuse cache cannot
+    /// serve answers with a sampled preview frame before the exact final
+    /// frame, and TTFR measures the *first* frame — the paper's "first
+    /// result on screen" moment.
     pub streamed: bool,
 }
 
@@ -157,7 +159,9 @@ impl SimReport {
             .collect()
     }
 
-    /// How many ops streamed a preview frame before their final answer.
+    /// How many ops streamed a preview frame before their final answer —
+    /// cold CAD builds only: a build whose partitions all come from the
+    /// cluster-reuse cache (a warm re-run) answers in one frame.
     pub fn previewed_ops(&self) -> usize {
         self.samples.iter().filter(|s| s.frames > 1).count()
     }

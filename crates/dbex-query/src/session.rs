@@ -5,7 +5,7 @@ use crate::ast::*;
 use crate::error::{CaughtPanic, QueryError, SessionError};
 use crate::parser::{parse, parse_predicate};
 use dbex_core::{
-    build_cad_view_traced, CadRequest, CadView, ExecBudget, Preference, StatsCache, Tracer,
+    build_cad_view_streamed, CadRequest, CadView, ExecBudget, Preference, StatsCache, Tracer,
 };
 use dbex_obs::TraceSink;
 use dbex_suggest::{CompletionMode, SuggestConfig, SuggestError};
@@ -408,8 +408,23 @@ impl Session {
 
     /// Parses and executes one statement.
     pub fn execute(&mut self, sql: &str) -> Result<QueryOutput> {
+        self.execute_with_preview(sql, None)
+    }
+
+    /// [`Session::execute`] that may stream a preview first: a
+    /// `CREATE CADVIEW` whose build still has at least
+    /// [`dbex_core::PREVIEW_MIN_ROWS`] rows to cluster hands `preview` a
+    /// sampled rendering of the view before it clusters them exactly
+    /// (see [`dbex_core::build_cad_view_streamed`]). The preview is never
+    /// stored: the returned output owns the name, and equals what
+    /// [`Session::execute`] returns. Other statements ignore `preview`.
+    pub fn execute_with_preview(
+        &mut self,
+        sql: &str,
+        preview: Option<&mut dyn FnMut(QueryOutput)>,
+    ) -> Result<QueryOutput> {
         let stmt = parse(sql)?;
-        self.execute_statement(stmt)
+        self.run_statement(stmt, preview)
     }
 
     /// Executes a multi-statement script: statements separated by `;`
@@ -433,6 +448,14 @@ impl Session {
     /// any CAD View the statement may have left half-mutated is dropped,
     /// so the shell or a server loop survives every input.
     pub fn execute_statement(&mut self, stmt: Statement) -> Result<QueryOutput> {
+        self.run_statement(stmt, None)
+    }
+
+    fn run_statement(
+        &mut self,
+        stmt: Statement,
+        preview: Option<&mut dyn FnMut(QueryOutput)>,
+    ) -> Result<QueryOutput> {
         dbex_obs::counter!("query.statements").incr(1);
         // CREATE CADVIEW inserts atomically at the end, but REORDER
         // mutates a stored view in place — if it panics midway the view
@@ -441,7 +464,7 @@ impl Session {
             Statement::Reorder(r) => Some(r.view.clone()),
             _ => None,
         };
-        match catch_unwind(AssertUnwindSafe(|| self.dispatch(stmt))) {
+        match catch_unwind(AssertUnwindSafe(|| self.dispatch(stmt, preview))) {
             Ok(result) => result,
             Err(payload) => {
                 if let Some(name) = at_risk {
@@ -452,10 +475,14 @@ impl Session {
         }
     }
 
-    fn dispatch(&mut self, stmt: Statement) -> Result<QueryOutput> {
+    fn dispatch(
+        &mut self,
+        stmt: Statement,
+        preview: Option<&mut dyn FnMut(QueryOutput)>,
+    ) -> Result<QueryOutput> {
         match stmt {
             Statement::Select(s) => self.run_select(s),
-            Statement::CreateCadView(c) => self.run_create_cadview(c),
+            Statement::CreateCadView(c) => self.run_create_cadview(c, preview),
             Statement::ExplainCadView(c) => self.run_explain_cadview(c, false),
             Statement::ExplainAnalyzeCadView(c) => self.run_explain_cadview(c, true),
             Statement::Highlight(h) => self.run_highlight(h),
@@ -611,12 +638,14 @@ impl Session {
 
     /// Builds a CAD view, tracing it when the session traces (or
     /// `force_trace` — the `EXPLAIN ANALYZE` path — demands it) and
-    /// forwarding the span tree to the installed sink.
+    /// forwarding the span tree to the installed sink. `preview` receives
+    /// the build's streamed preview, if it emits one.
     fn build_cad(
         &self,
         result: &View<'_>,
         request: &CadRequest,
         force_trace: bool,
+        preview: Option<&mut dyn FnMut(CadView)>,
     ) -> Result<CadView> {
         let traced = force_trace || self.tracing || self.trace_sink.is_some();
         let tracer = if traced {
@@ -624,7 +653,13 @@ impl Session {
         } else {
             Tracer::disabled()
         };
-        let cad = build_cad_view_traced(result, request, Some(&self.stats_cache), &tracer)?;
+        let cad = build_cad_view_streamed(
+            result,
+            request,
+            Some(&self.stats_cache),
+            &tracer,
+            preview,
+        )?;
         if let (Some(sink), Some(trace)) = (&self.trace_sink, &cad.trace) {
             sink.record(trace);
         }
@@ -635,7 +670,7 @@ impl Session {
         let table = self.table(&c.table)?;
         let result = table.filter(&c.predicate)?;
         let request = self.cad_request(&c)?;
-        let cad = self.build_cad(&result, &request, analyze)?;
+        let cad = self.build_cad(&result, &request, analyze, None)?;
         let mut out = format!(
             "CADVIEW {} over {} rows of {}\n  pivot: {} ({} values shown)\n",
             c.name,
@@ -723,23 +758,26 @@ impl Session {
         Ok(request)
     }
 
-    fn run_create_cadview(&mut self, c: CadViewStmt) -> Result<QueryOutput> {
+    fn run_create_cadview(
+        &mut self,
+        c: CadViewStmt,
+        preview: Option<&mut dyn FnMut(QueryOutput)>,
+    ) -> Result<QueryOutput> {
         let table = self.table(&c.table)?;
         let result = table.filter(&c.predicate)?;
         let request = self.cad_request(&c)?;
-        let cad = self.build_cad(&result, &request, false)?;
-        let rendered = cad.render();
-        let degradation = cad.degradation.iter().map(|d| d.to_string()).collect();
-        let trace = cad.trace.as_ref().map(|t| t.render());
+        let cad = match preview {
+            Some(emit) => {
+                let mut forward = |view: CadView| emit(cad_output(c.name.clone(), &view));
+                self.build_cad(&result, &request, false, Some(&mut forward))?
+            }
+            None => self.build_cad(&result, &request, false, None)?,
+        };
+        let output = cad_output(c.name.clone(), &cad);
         self.view_contexts
-            .insert(c.name.clone(), (c.table.clone(), c.predicate.clone()));
-        self.cad_views.insert(c.name.clone(), cad);
-        Ok(QueryOutput::Cad {
-            name: c.name,
-            rendered,
-            degradation,
-            trace,
-        })
+            .insert(c.name.clone(), (c.table, c.predicate));
+        self.cad_views.insert(c.name, cad);
+        Ok(output)
     }
 
     /// Maps a [`SuggestError`] onto the session's typed error hierarchy.
@@ -921,52 +959,6 @@ impl Session {
         Ok(QueryOutput::Suggestions { title, items })
     }
 
-    /// Result-size floor below which [`Session::preview_create_cadview`]
-    /// skips the preview: the exact build of a small result is itself
-    /// interactive, so a preview frame would only double the work.
-    pub const PREVIEW_MIN_ROWS: usize = 2_000;
-
-    /// Builds a **preview** CAD View for a `CREATE CADVIEW` statement
-    /// without storing it — the streamed-response fast path in
-    /// `dbex-serve`. The preview reuses the degradation ladder's sampled
-    /// rungs via a fixed aggressive config (same seed and cache as the
-    /// exact build, so whatever the preview computes warms the follow-up)
-    /// and is never inserted into the session's view map: the exact frame
-    /// that follows owns the name.
-    ///
-    /// Returns `None` whenever a preview is not worth streaming or cannot
-    /// be built: the statement is not `CREATE CADVIEW`, the filtered
-    /// result is under [`Session::PREVIEW_MIN_ROWS`], or anything errors
-    /// or panics (the exact build re-runs the statement and surfaces the
-    /// failure in FIFO order, so the preview path never reports one).
-    pub fn preview_create_cadview(&self, sql: &str) -> Option<QueryOutput> {
-        let Ok(Statement::CreateCadView(c)) = parse(sql) else {
-            return None;
-        };
-        let table = self.table(&c.table).ok()?;
-        let result = table.filter(&c.predicate).ok()?;
-        if result.len() < Self::PREVIEW_MIN_ROWS {
-            return None;
-        }
-        let mut request = self.cad_request(&c).ok()?;
-        let config = &mut request.config;
-        config.fs_sample = Some(config.fs_sample.map_or(1_000, |s| s.min(1_000)));
-        config.cluster_sample = Some(config.cluster_sample.map_or(500, |s| s.min(500)));
-        config.adaptive_iunits = true;
-        config.kmeans_iters = config.kmeans_iters.min(8);
-        catch_unwind(AssertUnwindSafe(|| {
-            let cad = self.build_cad(&result, &request, false).ok()?;
-            Some(QueryOutput::Cad {
-                name: c.name.clone(),
-                rendered: cad.render(),
-                degradation: cad.degradation.iter().map(|d| d.to_string()).collect(),
-                trace: cad.trace.as_ref().map(|t| t.render()),
-            })
-        }))
-        .ok()
-        .flatten()
-    }
-
     fn run_highlight(&self, h: HighlightStmt) -> Result<QueryOutput> {
         let cad = self.cad_view(&h.view)?;
         if h.iunit_id == 0 {
@@ -994,6 +986,16 @@ impl Session {
         }
         cad.apply_row_order(&order);
         Ok(QueryOutput::Reordered(order))
+    }
+}
+
+/// The output of a `CREATE CADVIEW` that built `cad` under `name`.
+fn cad_output(name: String, cad: &CadView) -> QueryOutput {
+    QueryOutput::Cad {
+        name,
+        rendered: cad.render(),
+        degradation: cad.degradation.iter().map(|d| d.to_string()).collect(),
+        trace: cad.trace.as_ref().map(|t| t.render()),
     }
 }
 
@@ -1045,15 +1047,15 @@ mod tests {
         s
     }
 
-    #[test]
-    fn preview_builds_without_storing_the_view() {
+    /// A session over `rows` generated cars-like rows.
+    fn big_session(rows: i64) -> Session {
         let mut b = TableBuilder::new(vec![
             Field::new("Make", DataType::Categorical),
             Field::new("Engine", DataType::Categorical),
             Field::new("Price", DataType::Int),
         ])
         .unwrap();
-        for i in 0..2_500i64 {
+        for i in 0..rows {
             let (m, e) = match i % 3 {
                 0 => ("Ford", "V6"),
                 1 => ("Jeep", "V8"),
@@ -1064,29 +1066,86 @@ mod tests {
         }
         let mut s = Session::new();
         s.register_table("cars", b.finish());
-        let sql = "CREATE CADVIEW v AS SET pivot = Make FROM cars LIMIT COLUMNS 2 IUNITS 2";
+        s
+    }
 
-        let preview = s.preview_create_cadview(sql).expect("preview should build");
-        let QueryOutput::Cad { name, rendered, .. } = preview else {
-            panic!("preview should render as a CAD view");
+    const STREAMED_SQL: &str =
+        "CREATE CADVIEW v AS SET pivot = Make FROM cars LIMIT COLUMNS 2 IUNITS 2";
+
+    /// Executes `sql` with a preview callback: the rendered final output
+    /// and every preview, rendered.
+    fn run_streamed(s: &mut Session, sql: &str) -> (String, Vec<String>) {
+        let mut previews = Vec::new();
+        let mut collect = |p: QueryOutput| {
+            assert!(matches!(p, QueryOutput::Cad { ref name, .. } if name == "v"), "{p:?}");
+            previews.push(p.render());
         };
-        assert_eq!(name, "v");
-        assert!(rendered.contains("Ford"));
-        // The preview must NOT store the view: the exact frame owns it.
-        assert!(s.cad_view("v").is_err());
-        // Non-CADVIEW statements are not previewable.
-        assert!(s.preview_create_cadview("SELECT * FROM cars").is_none());
-        // The exact path still works and stores the view.
-        s.execute(sql).unwrap();
-        assert!(s.cad_view("v").is_ok());
+        let out = s.execute_with_preview(sql, Some(&mut collect)).unwrap();
+        (out.render(), previews)
+    }
+
+    /// The Compare Attrs column of a rendered CAD view, top to bottom.
+    fn compare_column(rendered: &str) -> Vec<String> {
+        rendered
+            .lines()
+            .filter(|line| line.starts_with('|'))
+            .filter_map(|line| line.split('|').nth(2))
+            .map(|cell| cell.trim().to_owned())
+            .filter(|cell| !cell.is_empty())
+            .collect()
     }
 
     #[test]
-    fn preview_skips_small_results() {
-        let s = session(); // 30 rows — far under PREVIEW_MIN_ROWS
-        assert!(s
-            .preview_create_cadview("CREATE CADVIEW v AS SET pivot = Make FROM cars")
-            .is_none());
+    fn cold_build_streams_one_unstored_preview() {
+        let mut s = big_session(2_500);
+        let (fin, previews) = run_streamed(&mut s, STREAMED_SQL);
+        assert_eq!(previews.len(), 1, "a cold 2500-row build streams one preview");
+        assert!(previews[0].contains("sampled-clustering"), "{}", previews[0]);
+        // The stored view is the exact one, never the preview.
+        let stored = s.cad_view("v").unwrap();
+        assert!(!stored.is_degraded());
+        assert!(fin.contains(&stored.render()));
+        // The final output is what an unstreamed execute returns.
+        let plain = big_session(2_500).execute(STREAMED_SQL).unwrap().render();
+        assert_eq!(fin, plain);
+        // The preview shows the final compare attributes.
+        assert_eq!(compare_column(&previews[0]), compare_column(&fin));
+    }
+
+    #[test]
+    fn warm_rerun_streams_no_preview() {
+        let mut s = big_session(2_500);
+        let (first, previews) = run_streamed(&mut s, STREAMED_SQL);
+        assert_eq!(previews.len(), 1);
+        let (again, previews) = run_streamed(&mut s, STREAMED_SQL);
+        assert!(previews.is_empty(), "every partition is reused: nothing to preview");
+        assert_eq!(again, first);
+    }
+
+    #[test]
+    fn small_builds_stream_no_preview() {
+        for mut s in [session(), big_session(1_999)] {
+            let (_, previews) = run_streamed(&mut s, STREAMED_SQL);
+            assert!(previews.is_empty());
+        }
+        // Statements other than CREATE CADVIEW never preview.
+        let mut s = big_session(2_500);
+        let (_, previews) = run_streamed(&mut s, "SELECT * FROM cars LIMIT 3");
+        assert!(previews.is_empty());
+    }
+
+    #[test]
+    fn row_budget_final_frame_is_identical_streamed_and_unstreamed() {
+        let budget = ExecBudget::unlimited().with_max_rows(500);
+        let mut streamed = big_session(3_000);
+        streamed.set_budget(budget.clone());
+        let (fin, previews) = run_streamed(&mut streamed, STREAMED_SQL);
+        assert_eq!(previews.len(), 1, "over-budget partitions miss reuse");
+        let mut plain = big_session(3_000);
+        plain.set_budget(budget);
+        let want = plain.execute(STREAMED_SQL).unwrap().render();
+        assert!(want.contains("mini-batch-clustering"), "{want}");
+        assert_eq!(fin, want);
     }
 
     #[test]

@@ -55,8 +55,8 @@ pub use protocol::{
     write_frame, ProtocolError, HEADER_LEN, MAX_FRAME,
 };
 pub use server::{
-    handle_request, oracle_transcript, ServeConfig, Server, ServerHandle, ShutdownSummary,
-    PIPELINE_DEPTH,
+    handle_request, handle_request_streamed, oracle_transcript, ServeConfig, Server,
+    ServerHandle, ShutdownSummary, PIPELINE_DEPTH,
 };
 pub use wire::{
     query_error_code, strip_stream_tags, tag_stream_line, WireParseError, WireResponse,

@@ -36,11 +36,15 @@
 //! # Progressive (streamed) responses
 //!
 //! A connection that opts in with `.stream on` receives *tagged* frames:
-//! every response line carries `"seq"`/`"final"` fields, and expensive
-//! `CREATE CADVIEW` statements stream **two** frames — a cheap sampled
-//! preview (`seq:0, final:false`) the worker builds first, then the exact
-//! answer (`final:true`) whose line minus the tags is byte-identical to
-//! the classic single response. A client that disconnects (or sends
+//! every response line carries `"seq"`/`"final"` fields, and a
+//! `CREATE CADVIEW` whose build still has at least
+//! [`dbex_core::PREVIEW_MIN_ROWS`] rows to cluster (partitions the
+//! cluster-reuse cache cannot serve) streams **two** frames — a sampled
+//! preview (`seq:0, final:false`) the one build emits before its exact
+//! clustering, then the exact answer (`final:true`) whose line minus the
+//! tags is byte-identical to the classic single response. A build with
+//! less work left answers with the final frame alone (counted in
+//! `server.previews_skipped`). A client that disconnects (or sends
 //! `.cancel`) mid-build arms the connection's cancel flag; the running
 //! build observes it as an expired deadline and collapses to the cheapest
 //! degradation rungs instead of wasting worker time on an answer nobody
@@ -90,8 +94,9 @@ pub const PIPELINE_DEPTH: usize = 16;
 /// Bucket bounds (milliseconds) for the `server.request_ms` histogram.
 const REQUEST_MS_BOUNDS: &[f64] = &[1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0];
 
-/// Bucket bounds (milliseconds) for the `server.preview_ms` histogram —
-/// previews target interactive latency, so the buckets are finer.
+/// Bucket bounds (milliseconds) for the `server.preview_ms` histogram
+/// (request start to preview frame queued) — previews target interactive
+/// latency, so the buckets are finer.
 const PREVIEW_MS_BOUNDS: &[f64] = &[1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0];
 
 /// Poller tokens 0 and 1 are the listener and the wake pipe; connection
@@ -1255,29 +1260,36 @@ fn execute_request(
     let line = {
         let span = tracer.root("serve_request");
         span.add("request_bytes", request.len() as u64);
-        let trimmed = request.trim();
         let mut seq = 0u64;
-        if stream_mode && !trimmed.starts_with('.') && !cancel.load(Ordering::Relaxed) {
-            let preview_started = Instant::now();
-            if let Some(output) = session.preview_create_cadview(trimmed) {
-                let frame = WireResponse::ok(output_kind(&output), &output.render())
-                    .with_stream_tags(0, false)
-                    .to_line();
-                dbex_obs::counter!("server.previews").incr(1);
-                dbex_obs::histogram!("server.preview_ms", PREVIEW_MS_BOUNDS)
-                    .observe_ms(preview_started.elapsed());
+        // `.save` needs the server's data dir and save lock, which
+        // sessions don't have — intercept it before the shared
+        // (oracle-checked) dispatch point.
+        let line = if request.trim() == ".save" {
+            save_request(shared).to_line()
+        } else if stream_mode {
+            let mut push_preview = |preview: WireResponse| {
+                let frame = preview.with_stream_tags(0, false).to_line();
                 queues.push_completion(Completion {
                     token,
                     done: Done::Preview(frame),
                 });
+                dbex_obs::counter!("server.previews").incr(1);
+                dbex_obs::histogram!("server.preview_ms", PREVIEW_MS_BOUNDS)
+                    .observe_ms(started.elapsed());
                 seq = 1;
+            };
+            let line = handle_request_streamed(
+                session,
+                &shared.catalog,
+                request,
+                Some(&mut push_preview),
+            );
+            if seq == 0 && line.starts_with(CAD_OK_PREFIX) {
+                // A CAD build with less clustering work left than the
+                // preview floor (or already past its deadline).
+                dbex_obs::counter!("server.previews_skipped").incr(1);
             }
-        }
-        // `.save` needs the server's data dir and save lock, which
-        // sessions don't have — intercept it before the shared
-        // (oracle-checked) dispatch point.
-        let line = if trimmed == ".save" {
-            save_request(shared).to_line()
+            line
         } else {
             handle_request(session, &shared.catalog, request)
         };
@@ -1334,6 +1346,24 @@ fn is_suggest_request(request: &str) -> bool {
 /// [`oracle_transcript`], so a multi-client run can be diffed against a
 /// single-session oracle byte for byte.
 pub fn handle_request(session: &mut Session, catalog: &Arc<SharedCatalog>, request: &str) -> String {
+    handle_request_streamed(session, catalog, request, None)
+}
+
+/// The line a successful `CREATE CADVIEW` response starts with (the
+/// field order of [`WireResponse::to_line`] is fixed).
+const CAD_OK_PREFIX: &str = "{\"ok\":true,\"kind\":\"cad\"";
+
+/// [`handle_request`] for a `.stream on` connection: a `CREATE CADVIEW`
+/// whose build still has enough clustering work to stream hands
+/// `on_preview` its preview response (untagged) before it finishes; see
+/// [`Session::execute_with_preview`]. The returned final line is the one
+/// [`handle_request`] returns.
+pub fn handle_request_streamed(
+    session: &mut Session,
+    catalog: &Arc<SharedCatalog>,
+    request: &str,
+    on_preview: Option<&mut dyn FnMut(WireResponse)>,
+) -> String {
     let request = request.trim();
     if request.is_empty() {
         return WireResponse::err("REQUEST", "empty request").to_line();
@@ -1341,7 +1371,16 @@ pub fn handle_request(session: &mut Session, catalog: &Arc<SharedCatalog>, reque
     if let Some(rest) = request.strip_prefix('.') {
         return dot_request(catalog, rest).to_line();
     }
-    match session.execute(request) {
+    let executed = match on_preview {
+        Some(emit) => {
+            let mut forward = |preview: QueryOutput| {
+                emit(WireResponse::ok(output_kind(&preview), &preview.render()));
+            };
+            session.execute_with_preview(request, Some(&mut forward))
+        }
+        None => session.execute(request),
+    };
+    match executed {
         Ok(output) => WireResponse::ok(output_kind(&output), &output.render()).to_line(),
         Err(e) => WireResponse::err(query_error_code(&e), &e.to_string()).to_line(),
     }
@@ -1561,15 +1600,14 @@ mod tests {
 
     #[test]
     fn streamed_frames_strip_to_the_oracle() {
-        // A table big enough to clear the preview threshold, so the CAD
-        // statement streams two frames.
+        // A table big enough to clear the preview threshold, so the cold
+        // CAD statement streams two frames; its warm re-run reuses every
+        // partition and answers with the final frame alone.
         let cars = UsedCarsGenerator::new(7).generate(3_000);
-        let script = [
-            ".stream on",
-            "CREATE CADVIEW v AS SET pivot = Make FROM cars LIMIT COLUMNS 2 IUNITS 2",
-            ".stream off",
-            ".ping",
-        ];
+        let build = "CREATE CADVIEW v AS SET pivot = Make FROM cars LIMIT COLUMNS 2 IUNITS 2";
+        let script = [".stream on", build, build, ".stream off", ".ping"];
+        let skipped = dbex_obs::global().counter("server.previews_skipped");
+        let skipped_before = skipped.get();
         let oracle = oracle_transcript(
             vec![("cars".to_owned(), cars.clone())],
             &ServeConfig::default(),
@@ -1593,7 +1631,11 @@ mod tests {
                 }
             }
         }
-        assert_eq!(previews, 1, "exactly the CAD statement should stream a preview");
+        assert_eq!(previews, 1, "exactly the cold CAD statement should stream a preview");
+        assert!(
+            skipped.get() > skipped_before,
+            "the warm re-run must count as a skipped preview"
+        );
         assert_eq!(finals, oracle, "stripped finals must equal the oracle");
         drop(client);
         handle.shutdown();

@@ -9,7 +9,7 @@
 //! attributes failing the significance threshold are dropped, and the
 //! remainder are ranked by decreasing statistic.
 
-use crate::cache::{ContingencyKey, StatsCache};
+use crate::cache::{CodecKey, ContingencyKey, StatsCache};
 use crate::chi2::ContingencyTable;
 use crate::discretize::AttributeCodec;
 use crate::entropy::{information_gain, symmetrical_uncertainty};
@@ -214,7 +214,15 @@ pub fn select_compare_attributes_ctx(
             return None;
         }
         let build = || {
-            contingency_for(&scoring_view, attr, num_classes, &classes, config)
+            contingency_for(
+                &scoring_view,
+                view_fp,
+                attr,
+                num_classes,
+                &classes,
+                config,
+                ctx.cache,
+            )
         };
         let table: Arc<ContingencyTable> = match (ctx.cache, view_fp) {
             (Some(cache), Some(fp)) => cache.contingency_with(
@@ -271,14 +279,33 @@ pub fn select_compare_attributes_ctx(
 /// skip), parallel to the scoring view's `row_ids()`. The attribute is
 /// batch-encoded and the table filled through the vectorized pair kernel —
 /// counts identical to the old per-row `add` loop.
+///
+/// With a cache, the codec is memoized under the same [`CodecKey`] that
+/// `CodedMatrix::encode_ctx` looks up, so when the scoring view is the
+/// whole result set (no sampling) the selected attributes' codecs are
+/// built once per build, not twice.
 fn contingency_for(
     scoring_view: &View<'_>,
+    view_fp: Option<u64>,
     attr: usize,
     num_classes: usize,
     classes: &[u32],
     config: &FeatureSelectionConfig,
+    cache: Option<&StatsCache>,
 ) -> Option<ContingencyTable> {
-    let codec = AttributeCodec::build(scoring_view, attr, config.bins, config.strategy).ok()?;
+    let build = || AttributeCodec::build(scoring_view, attr, config.bins, config.strategy);
+    let codec: Arc<AttributeCodec> = match (cache, view_fp) {
+        (Some(cache), Some(fp)) => {
+            let key = CodecKey {
+                view_fp: fp,
+                attr,
+                bins: config.bins,
+                strategy: config.strategy,
+            };
+            cache.codec_with(key, build).ok()?
+        }
+        _ => Arc::new(build().ok()?),
+    };
     let column = scoring_view.table().column(attr);
     let codes = codec.encode_rows(column, scoring_view.row_ids());
     let mut table = ContingencyTable::new(num_classes, codec.cardinality());

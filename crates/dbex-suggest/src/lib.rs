@@ -32,6 +32,7 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -139,10 +140,9 @@ pub struct NextReport {
     pub candidates: usize,
     /// Ranked suggestions, best first.
     pub suggestions: Vec<NextSuggestion>,
-    /// Stats-cache hits observed during this run (0 without a cache;
-    /// approximate under concurrent cache users).
+    /// Stats-cache hits among this run's own lookups (0 without a cache).
     pub cache_hits: u64,
-    /// Stats-cache misses observed during this run.
+    /// Stats-cache misses among this run's own lookups.
     pub cache_misses: u64,
     /// Wall-clock time spent ranking.
     pub elapsed: std::time::Duration,
@@ -173,13 +173,42 @@ pub fn suggest_class_ctx(pivot: usize) -> u64 {
     h
 }
 
-/// Builds (or fetches from `cache`) the codec for `attr` over `view`.
+/// One call's own stats-cache traffic. The cache's counters are shared
+/// with every concurrent session, so their difference across a call is
+/// not the call's traffic.
+#[derive(Default)]
+struct Traffic {
+    lookups: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl Traffic {
+    /// Counts one lookup, returning `build` wrapped to count a miss when
+    /// the cache runs it.
+    fn lookup<'a, T>(&'a self, build: impl FnOnce() -> T + 'a) -> impl FnOnce() -> T + 'a {
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        move || {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            build()
+        }
+    }
+
+    /// `(hits, misses)` so far.
+    fn counts(&self) -> (u64, u64) {
+        let misses = self.misses.load(Ordering::Relaxed);
+        (self.lookups.load(Ordering::Relaxed) - misses, misses)
+    }
+}
+
+/// Builds (or fetches from `cache`) the codec for `attr` over `view`,
+/// counting the lookup in `traffic`.
 fn codec_for(
     view: &View<'_>,
     view_fp: Option<u64>,
     attr: usize,
     cfg: &SuggestConfig,
     cache: Option<&StatsCache>,
+    traffic: &Traffic,
 ) -> Option<Arc<AttributeCodec>> {
     let build = || AttributeCodec::build(view, attr, cfg.bins, cfg.strategy);
     match (cache, view_fp) {
@@ -191,7 +220,7 @@ fn codec_for(
                     bins: cfg.bins,
                     strategy: cfg.strategy,
                 },
-                build,
+                traffic.lookup(build),
             )
             .ok(),
         _ => build().ok().map(Arc::new),
@@ -233,10 +262,10 @@ pub fn suggest_next(
             columns: schema.len(),
         });
     }
-    let stats_before = cache.map(|c| c.stats());
+    let traffic = Traffic::default();
     let view_fp = cache.map(|_| view.fingerprint());
 
-    let pivot_codec = codec_for(view, view_fp, pivot, cfg, cache);
+    let pivot_codec = codec_for(view, view_fp, pivot, cfg, cache, &traffic);
     let pivot_codes: Vec<u32> = match &pivot_codec {
         Some(codec) => codec.encode_rows(table.column(pivot), view.row_ids()),
         None => Vec::new(),
@@ -251,7 +280,7 @@ pub fn suggest_next(
 
     let threads = dbex_par::resolve_threads(cfg.threads);
     let scored: Vec<Option<NextSuggestion>> = dbex_par::par_map(threads, &candidates, |_, &attr| {
-        let codec = codec_for(view, view_fp, attr, cfg, cache)?;
+        let codec = codec_for(view, view_fp, attr, cfg, cache, &traffic)?;
         let codes = codec.encode_rows(table.column(attr), view.row_ids());
         let freq = code_frequencies(&codes, codec.cardinality());
         let live = freq.iter().filter(|&&f| f > 0.0).count();
@@ -274,7 +303,7 @@ pub fn suggest_next(
                     bins: cfg.bins,
                     strategy: cfg.strategy,
                 },
-                || Some(contingency(pivot_card, codec.cardinality())),
+                traffic.lookup(|| Some(contingency(pivot_card, codec.cardinality()))),
             )?,
             _ => Arc::new(contingency(pivot_card, codec.cardinality())),
         };
@@ -294,16 +323,7 @@ pub fn suggest_next(
     let candidates = suggestions.len();
     suggestions.truncate(cfg.limit);
 
-    let (hits, misses) = match (cache, stats_before) {
-        (Some(c), Some(before)) => {
-            let after = c.stats();
-            (
-                after.hits.saturating_sub(before.hits),
-                after.misses.saturating_sub(before.misses),
-            )
-        }
-        _ => (0, 0),
-    };
+    let (hits, misses) = traffic.counts();
     let elapsed = started.elapsed();
     dbex_obs::histogram!("suggest.rank_ms", RANK_MS_BOUNDS).observe_ms(elapsed);
     dbex_obs::counter!("suggest.next.calls").incr(1);
@@ -348,7 +368,7 @@ pub fn complete_attribute(
         if !name.to_ascii_lowercase().starts_with(&needle) {
             continue;
         }
-        let Some(codec) = codec_for(view, view_fp, attr, cfg, cache) else {
+        let Some(codec) = codec_for(view, view_fp, attr, cfg, cache, &Traffic::default()) else {
             continue;
         };
         let codes = codec.encode_rows(table.column(attr), view.row_ids());
@@ -407,7 +427,7 @@ pub fn complete_value(
         .index_of(attr)
         .map_err(|_| SuggestError::UnknownAttribute(attr.to_owned()))?;
     let view_fp = cache.map(|_| view.fingerprint());
-    let Some(codec) = codec_for(view, view_fp, col, cfg, cache) else {
+    let Some(codec) = codec_for(view, view_fp, col, cfg, cache, &Traffic::default()) else {
         return Ok(Vec::new());
     };
     let codes = codec.encode_rows(table.column(col), view.row_ids());

@@ -84,6 +84,11 @@
 # family (scalar / sse2 / avx2 / neon, clamped to the hardware) and
 # fails unless every family's CAD digests are byte-identical to the
 # scalar reference. Opt-in because it rebuilds and re-runs the suite.
+#
+# `--perfbench-smoke` builds and tests the benchmark crate under
+# `perfbench/` (its own manifest, outside the workspace) in release
+# mode, so a change to an API the benchmark imports fails here instead
+# of in a benchmark run. Opt-in because it is a second release build.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -102,6 +107,7 @@ SERVE_SOAK=0
 STORE_SMOKE_ONLY=0
 CRASH_SMOKE=0
 KERNEL_AB=0
+PERFBENCH_SMOKE=0
 BENCH_EXPLORE=0
 BENCH_EXPLORE_REGRESSION=0
 for arg in "$@"; do
@@ -117,7 +123,8 @@ for arg in "$@"; do
     --store-smoke) STORE_SMOKE_ONLY=1 ;;
     --crash-smoke) CRASH_SMOKE=1 ;;
     --kernel-ab) KERNEL_AB=1 ;;
-    *) echo "usage: $0 [--bench-smoke] [--bench-regression] [--bench-explore] [--bench-explore-regression] [--obs-smoke] [--serve-smoke] [--suggest-smoke] [--serve-soak] [--store-smoke] [--crash-smoke] [--kernel-ab]" >&2; exit 2 ;;
+    --perfbench-smoke) PERFBENCH_SMOKE=1 ;;
+    *) echo "usage: $0 [--bench-smoke] [--bench-regression] [--bench-explore] [--bench-explore-regression] [--obs-smoke] [--serve-smoke] [--suggest-smoke] [--serve-soak] [--store-smoke] [--crash-smoke] [--kernel-ab] [--perfbench-smoke]" >&2; exit 2 ;;
   esac
 done
 
@@ -162,6 +169,12 @@ if [[ "$KERNEL_AB" -eq 1 ]]; then
   DBEX_SIMD=scalar cargo test -q --workspace
   echo "==> kernel A/B gate: per-dispatch CAD digest diff"
   cargo run --release --bin kernel_ab
+  exit 0
+fi
+
+if [[ "$PERFBENCH_SMOKE" -eq 1 ]]; then
+  echo "==> perfbench smoke (benchmark crate tests against the current APIs)"
+  cargo test --release --manifest-path perfbench/Cargo.toml
   exit 0
 fi
 

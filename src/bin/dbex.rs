@@ -288,8 +288,10 @@ fn run_connect(args: &[String]) -> i32 {
 }
 
 /// Sends one request and prints every response frame until the final
-/// one — after `.stream on` an expensive build answers with a tagged
-/// preview frame first, and an untagged response is final by
+/// one — after `.stream on` a CAD build with at least 2,000 rows left
+/// to cluster (partitions the server's cluster-reuse cache cannot
+/// serve) answers with a tagged preview frame first; other responses
+/// are one final frame, and an untagged response is final by
 /// construction, so this loop serves both modes. Returns `false` when
 /// the connection is unusable (the caller exits).
 fn send_and_print(client: &mut Client, request: &str) -> bool {

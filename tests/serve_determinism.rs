@@ -96,31 +96,54 @@ fn thirty_two_clients_are_byte_identical_to_one_session() {
 }
 
 /// Streamed mode must refine toward the *same* bytes: for clients in
-/// `.stream on`, expensive builds answer with a preview frame first, but
-/// the final frame — minus its `seq`/`final` tags — must still equal the
-/// single-session oracle line for line. The table is sized past the
-/// preview threshold so the CAD build genuinely streams.
+/// `.stream on`, a CAD build with clustering work left answers with a
+/// preview frame first, but the final frame — minus its `seq`/`final`
+/// tags — must still equal the single-session oracle line for line. The
+/// table is sized past the preview threshold, and every client builds
+/// its own statement (its own `IUNITS`/`LIMIT COLUMNS`, hence its own
+/// cluster-reuse keys), so each client's first build is cold and must
+/// stream. Its warm re-run reuses every partition and must arrive as a
+/// single final frame.
 #[test]
 fn streamed_replay_strips_to_the_oracle() {
     const STREAM_ROWS: usize = 4_000;
     const STREAM_CLIENTS: usize = 8;
-    let script: &[&str] = &[
-        ".tables",
-        "SELECT Make, Price FROM cars WHERE BodyType = Sedan LIMIT 4",
-        "CREATE CADVIEW v AS SET pivot = Make FROM cars LIMIT COLUMNS 2 IUNITS 2",
-        "REORDER ROWS IN v ORDER BY SIMILARITY(Honda) DESC",
-    ];
     let cars = || UsedCarsGenerator::new(SEED).generate(STREAM_ROWS);
+    let scripts: Vec<Vec<String>> = (0..STREAM_CLIENTS)
+        .map(|i| {
+            let build = format!(
+                "CREATE CADVIEW v AS SET pivot = Make FROM cars LIMIT COLUMNS {} IUNITS {}",
+                2 + i / 4,
+                2 + i % 4
+            );
+            vec![
+                ".tables".to_owned(),
+                "SELECT Make, Price FROM cars WHERE BodyType = Sedan LIMIT 4".to_owned(),
+                build.clone(),
+                "REORDER ROWS IN v ORDER BY SIMILARITY(Honda) DESC".to_owned(),
+                build,
+            ]
+        })
+        .collect();
+    const COLD_BUILD: usize = 2;
+    const WARM_BUILD: usize = 4;
 
     let config = ServeConfig::default();
-    let oracle = oracle_transcript(vec![("cars".to_owned(), cars())], &config, script);
+    let oracles: Vec<Vec<String>> = scripts
+        .iter()
+        .map(|script| {
+            let script: Vec<&str> = script.iter().map(String::as_str).collect();
+            oracle_transcript(vec![("cars".to_owned(), cars())], &config, &script)
+        })
+        .collect();
     let server = Server::bind("127.0.0.1:0", config).expect("bind");
     server.preload("cars", cars());
     let handle = server.spawn().expect("spawn server threads");
 
     let streams: Vec<Vec<Vec<String>>> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..STREAM_CLIENTS)
-            .map(|_| {
+        let workers: Vec<_> = scripts
+            .iter()
+            .map(|script| {
                 let addr = handle.addr();
                 scope.spawn(move || {
                     let mut client = Client::connect(addr).expect("connect");
@@ -139,23 +162,25 @@ fn streamed_replay_strips_to_the_oracle() {
             .collect()
     });
 
-    for (i, transcript) in streams.iter().enumerate() {
+    for (i, (transcript, oracle)) in streams.iter().zip(&oracles).enumerate() {
         assert_eq!(transcript.len(), oracle.len());
-        let mut previews = 0;
-        for (j, (frames, want)) in transcript.iter().zip(&oracle).enumerate() {
-            previews += frames.len() - 1; // every non-final frame is a preview
+        for (j, (frames, want)) in transcript.iter().zip(oracle).enumerate() {
             let last = frames.last().expect("at least one frame");
             assert_eq!(
                 &strip_stream_tags(last),
                 want,
                 "client {i}: streamed final frame diverged from the oracle on {:?}",
-                script[j]
+                scripts[i][j]
+            );
+            let expected_frames = if j == COLD_BUILD { 2 } else { 1 };
+            assert_eq!(
+                frames.len(),
+                expected_frames,
+                "client {i}: {:?} should arrive as {expected_frames} frame(s)",
+                scripts[i][j]
             );
         }
-        assert!(
-            previews > 0,
-            "client {i} saw no preview frames — the CAD build never streamed"
-        );
+        assert_eq!(oracle[WARM_BUILD], oracle[COLD_BUILD]);
     }
 
     assert_eq!(handle.panics(), 0);

@@ -50,7 +50,8 @@ fn soak_secs() -> u64 {
 
 /// Quick variant: same hostile mix and assertions, sized for the
 /// default `cargo test` gate. The table sits past the preview threshold
-/// so the streamed clients genuinely get multi-frame responses.
+/// so a streamed client's cold build genuinely gets a multi-frame
+/// response.
 #[test]
 fn hostile_mixed_workload_quick() {
     run_soak(2, 2_500);
@@ -120,7 +121,9 @@ fn run_soak(secs: u64, rows: usize) {
 
         // Streamed explorer: opts into previews; alternates between
         // reading the full frame sequence and vanishing right after the
-        // first frame — the mid-preview cancel path under churn.
+        // first frame — the mid-preview cancel path under churn while the
+        // build is cold, a plain mid-request disconnect once its
+        // partitions come from the cache.
         {
             let stop = Arc::clone(&stop);
             let requests_ok = Arc::clone(&requests_ok);
