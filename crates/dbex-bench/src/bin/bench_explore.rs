@@ -7,9 +7,9 @@
 //! with think-time pacing and abandon/reconnect churn. Reports, per
 //! point:
 //!
-//! * **time-to-first-result** p50/p99 — session start (including
-//!   connect, BUSY backoff, and the seeded first think-time) to the
-//!   first successful response;
+//! * **time-to-first-result** p50/p99 — the session's first request
+//!   send to its first successful response (think time before that
+//!   send, connect and BUSY backoff do not count);
 //! * per-op p50/p99/max latency, overall and split by op kind;
 //! * BUSY rejections, error counts, abandon/reconnect counts;
 //! * the shared stats cache's cumulative hit trajectory over the run

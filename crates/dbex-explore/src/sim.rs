@@ -96,9 +96,10 @@ pub struct OpSample {
 pub struct SessionOutcome {
     /// Session id (trace seed input).
     pub session: u64,
-    /// Time from session start (including connect and BUSY backoff) to
-    /// the first successful response — the paper's "first result on
-    /// screen" moment. `None` when the session never got one.
+    /// Time from the session's first request send to its first
+    /// successful response — the paper's "first result on screen"
+    /// moment. Think time before that send, connect and BUSY backoff do
+    /// not count. `None` when the session never got one.
     pub ttfr: Option<Duration>,
     /// The session ran its whole trace.
     pub completed: bool,
@@ -222,14 +223,16 @@ fn is_timeout(e: &ClientError) -> bool {
 /// (possibly streamed) response and timestamping the first. Returns
 /// `(final_latency, first_frame_latency, frames, ok)`. Sets `ttfr` once,
 /// at the first `ok` frame the session ever receives — a preview frame
-/// counts: it is the first usable result on screen.
+/// counts: it is the first usable result on screen. `first_send` starts
+/// the TTFR clock at the session's first request.
 fn exchange(
     client: &mut Client,
     request: &str,
-    session_start: Instant,
+    first_send: &mut Option<Instant>,
     ttfr: &mut Option<Duration>,
 ) -> Result<(Duration, Duration, u32, bool), ClientError> {
     let started = Instant::now();
+    let session_start = *first_send.get_or_insert(started);
     client.send_only(request)?;
     let mut first_frame: Option<Duration> = None;
     let mut frames = 0u32;
@@ -278,7 +281,7 @@ fn run_session(
     let mut samples = Vec::with_capacity(trace.len());
     let mut rng = StdRng::seed_from_u64(mix(cfg.trace.seed ^ 0x7369_6D75, session));
     dbex_obs::counter!("explore.sessions.started").incr(1);
-    let start = Instant::now();
+    let mut first_send: Option<Instant> = None;
 
     let mut client = match connect_with_retry(addr, cfg.connect_retries, &mut out.busy_retries) {
         Ok(c) => c,
@@ -307,6 +310,7 @@ fn run_session(
         if cfg.abandon_rate > 0.0 && rng.random_range(0.0..1.0) < cfg.abandon_rate {
             out.abandoned = true;
             // Fire the request and vanish without reading the response.
+            first_send.get_or_insert_with(Instant::now);
             client.send_only(&op.request).ok();
             drop(client);
             dbex_obs::counter!("explore.sessions.abandon_drops").incr(1);
@@ -332,7 +336,12 @@ fn run_session(
             dbex_obs::counter!("explore.sessions.reconnects").incr(1);
             if let Some(v) = last_view_op {
                 if needs_view(op.kind) {
-                    match exchange(&mut client, &trace[v].request, start, &mut out.ttfr) {
+                    match exchange(
+                        &mut client,
+                        &trace[v].request,
+                        &mut first_send,
+                        &mut out.ttfr,
+                    ) {
                         Ok((latency, first_frame, frames, true)) => samples.push(OpSample {
                             kind: trace[v].kind,
                             latency,
@@ -346,7 +355,7 @@ fn run_session(
             }
             // Fall through to issue `op` on the fresh connection.
         }
-        match exchange(&mut client, &op.request, start, &mut out.ttfr) {
+        match exchange(&mut client, &op.request, &mut first_send, &mut out.ttfr) {
             Ok((latency, first_frame, frames, ok)) => {
                 samples.push(OpSample {
                     kind: op.kind,
@@ -512,6 +521,31 @@ mod tests {
         assert!(report.outcomes.iter().all(|o| o.ttfr.is_some()));
         assert_eq!(report.errors(), 0, "no errors expected on a quiet server");
         assert!(report.requests() >= 6 * 6);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn ttfr_excludes_think_time_before_the_first_request() {
+        let spec = SyntheticSpec::exploration_default(400, 19);
+        let handle = boot(&spec, 4);
+        let think = Duration::from_millis(200);
+        let trace = [TraceOp {
+            kind: OpKind::Drill,
+            request: format!("SELECT * FROM {} LIMIT 1", spec.name),
+            think,
+        }];
+        let cfg = SimConfig {
+            abandon_rate: 0.0,
+            ..SimConfig::default()
+        };
+        let (outcome, samples) = run_session(&handle.addr().to_string(), 0, &trace, &cfg);
+        assert!(outcome.completed, "{outcome:?}");
+        assert_eq!(samples.len(), 1);
+        let ttfr = outcome.ttfr.expect("the one request succeeded");
+        assert!(
+            ttfr < think,
+            "TTFR {ttfr:?} counts the {think:?} think time"
+        );
         handle.shutdown();
     }
 

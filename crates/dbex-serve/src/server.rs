@@ -9,12 +9,13 @@
 //!                    │  nonblocking accept/read/write │
 //!                    │  per-conn frame state machines │
 //!                    └───────┬───────────────▲───────┘
-//!                       jobs │               │ completions
+//!                       jobs │               │ completions: session
+//!                            │               │ + unwritten bytes
 //!                    ┌───────▼───────────────┴───────┐
-//!                    │ worker pool (N fixed threads)  │
-//!                    │  Session::execute → JSON line  │
-//!                    │  ▲ shared: catalog, StatsCache │
-//!                    └────────────────────────────────┘
+//!                    │ worker pool (N fixed threads)  │   frames, when
+//!                    │  Session::execute → JSON line  │ ─▶ nothing is
+//!                    │  ▲ shared: catalog, StatsCache │   buffered: the
+//!                    └────────────────────────────────┘   client socket
 //! ```
 //!
 //! One event-loop thread owns the listener and every connection socket
@@ -23,9 +24,14 @@
 //! sessions cost a few hundred bytes each, not twenty thousand stacks.
 //! Requests decoded by the loop are dispatched — one in flight per
 //! connection, preserving per-connection FIFO order — to a fixed-size
-//! worker pool that executes them against the connection's [`Session`]
-//! and posts the rendered frames back through a completion queue (the
-//! wake pipe interrupts the loop's `wait`).
+//! worker pool that executes them against the connection's [`Session`].
+//! When nothing is buffered for the connection at dispatch, the worker
+//! writes each rendered frame to the socket itself, without blocking,
+//! so a served request costs one thread hop. Its first short write
+//! hands the unwritten bytes, and every later frame of the request, to
+//! the loop. Completions carry the session home plus any such bytes,
+//! which the loop appends to the write buffer in order (the wake pipe
+//! interrupts the loop's `wait`).
 //!
 //! Each accepted connection gets its own [`Session`] (so CAD Views,
 //! budgets and `REORDER` state stay private), but every session points at
@@ -95,8 +101,8 @@ pub const PIPELINE_DEPTH: usize = 16;
 const REQUEST_MS_BOUNDS: &[f64] = &[1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0];
 
 /// Bucket bounds (milliseconds) for the `server.preview_ms` histogram
-/// (request start to preview frame queued) — previews target interactive
-/// latency, so the buckets are finer.
+/// (request start until the preview frame is written or handed to the
+/// loop) — previews target interactive latency, so the buckets are finer.
 const PREVIEW_MS_BOUNDS: &[f64] = &[1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0];
 
 /// Poller tokens 0 and 1 are the listener and the wake pipe; connection
@@ -200,6 +206,12 @@ struct Shared {
     /// Requests whose cancel flag was armed (disconnect mid-request or an
     /// explicit `.cancel`).
     request_cancels: AtomicU64,
+    /// Request frames a worker wrote to its socket in full
+    /// (`server.frames_direct`).
+    frames_direct: AtomicU64,
+    /// Request frames whose bytes the loop flushed
+    /// (`server.frames_deferred`).
+    frames_deferred: AtomicU64,
     /// Serialises snapshot writes (wire `.save`, autosave, final flush).
     save_lock: Mutex<()>,
     /// Catalog version as of the last committed snapshot.
@@ -249,15 +261,26 @@ struct Job {
     session: Box<Session>,
     stream_mode: bool,
     cancel: Arc<AtomicBool>,
+    /// The connection's socket when its write buffer was empty at
+    /// dispatch: the worker writes the request's frames itself (see
+    /// [`FrameWriter`]).
+    socket: Option<Arc<TcpStream>>,
 }
 
-/// What a worker produced for a connection.
+/// What a worker produced for a connection. Byte payloads are frame
+/// bytes (newlines included) the worker could not write itself; the
+/// loop appends them to the write buffer in order.
 enum Done {
-    /// An intermediate streamed frame; the request is still running.
-    Preview(String),
-    /// The request finished: its (possibly tag-spliced) response line and
-    /// the session, returned to the loop.
-    Final { frame: String, session: Box<Session> },
+    /// Unwritten bytes of an intermediate streamed frame; the request is
+    /// still running.
+    Preview(Vec<u8>),
+    /// The request finished: the unwritten bytes of its final frame
+    /// (empty when the worker wrote it all) and the session, returned to
+    /// the loop.
+    Final {
+        bytes: Vec<u8>,
+        session: Box<Session>,
+    },
     /// The request panicked below every inner boundary. The session is
     /// forfeit; the connection closes after this frame flushes.
     Panicked { frame: String },
@@ -402,6 +425,8 @@ impl Server {
             busy_rejections: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             request_cancels: AtomicU64::new(0),
+            frames_direct: AtomicU64::new(0),
+            frames_deferred: AtomicU64::new(0),
             save_lock: Mutex::new(()),
             saved_catalog_version: AtomicU64::new(0),
             saved_cluster_entries: AtomicUsize::new(0),
@@ -594,6 +619,19 @@ impl ServerHandle {
         self.shared.request_cancels.load(Ordering::Relaxed)
     }
 
+    /// Request frames a worker wrote straight to its client's socket
+    /// since startup.
+    pub fn frames_direct(&self) -> u64 {
+        self.shared.frames_direct.load(Ordering::Relaxed)
+    }
+
+    /// Request frames the loop flushed since startup: the worker's write
+    /// came up short, or bytes were already buffered when the request
+    /// was dispatched.
+    pub fn frames_deferred(&self) -> u64 {
+        self.shared.frames_deferred.load(Ordering::Relaxed)
+    }
+
     /// The resolved worker-pool size (after `workers: 0` defaulted to the
     /// host's available parallelism). Together with the event loop and
     /// optional autosave thread, this bounds the server's thread count
@@ -672,7 +710,10 @@ enum PendingItem {
 /// Per-connection state owned by the event loop. No thread, no stack —
 /// an idle connection is this struct and a registered fd.
 struct Conn {
-    stream: TcpStream,
+    /// Shared with the running job's worker when it writes its own
+    /// frames. The clone also keeps the fd open until the worker lets go,
+    /// so a later `accept` cannot reuse the number under a late write.
+    stream: Arc<TcpStream>,
     /// Bytes read but not yet decoded (a partial frame prefix).
     read_buf: Vec<u8>,
     /// Bytes rendered but not yet written (`write_pos` marks the flushed
@@ -855,7 +896,7 @@ impl EventLoop {
                 continue;
             }
             let mut conn = Conn {
-                stream,
+                stream: Arc::new(stream),
                 read_buf: Vec::new(),
                 write_buf: Vec::new(),
                 write_pos: 0,
@@ -939,12 +980,12 @@ impl EventLoop {
         if conn.read_closed {
             // Still consume (and discard) so a hangup event can't spin.
             let mut sink = [0u8; 4096];
-            while matches!((&conn.stream).read(&mut sink), Ok(n) if n > 0) {}
+            while matches!((&*conn.stream).read(&mut sink), Ok(n) if n > 0) {}
             return;
         }
         let mut chunk = [0u8; 16 * 1024];
         loop {
-            match (&conn.stream).read(&mut chunk) {
+            match (&*conn.stream).read(&mut chunk) {
                 Ok(0) => {
                     // Disconnect (or our own drain half-close). Cancel any
                     // in-flight build unless the server is draining.
@@ -1017,7 +1058,7 @@ impl EventLoop {
     /// is (re-)registered by the interest sync when bytes remain.
     fn flush_write(conn: &mut Conn) {
         while conn.write_pos < conn.write_buf.len() {
-            match (&conn.stream).write(&conn.write_buf[conn.write_pos..]) {
+            match (&*conn.stream).write(&conn.write_buf[conn.write_pos..]) {
                 Ok(0) => {
                     conn.dead = true;
                     break;
@@ -1077,6 +1118,13 @@ impl EventLoop {
                     // Fresh flag per request; the loop is the only writer
                     // between requests, so this reset is race-free.
                     conn.cancel.store(false, Ordering::Relaxed);
+                    // While `running`, the loop never writes to this socket:
+                    // control acks and protocol errors wait in `pending`,
+                    // and the write buffer only grows from this job's own
+                    // completions, which arrive after the worker stopped
+                    // writing. So a job handed the socket with nothing
+                    // buffered is the only writer until its final
+                    // completion comes home.
                     conn.running = true;
                     // Hot lane: first-request priority, plus the cheap
                     // keystroke-paced SUGGEST fast path (see [`JobQueue`]).
@@ -1089,6 +1137,7 @@ impl EventLoop {
                             session,
                             stream_mode: conn.stream_mode,
                             cancel: Arc::clone(&conn.cancel),
+                            socket: (conn.unflushed() == 0).then(|| Arc::clone(&conn.stream)),
                         },
                         first,
                     );
@@ -1112,9 +1161,9 @@ impl EventLoop {
                 continue; // connection closed mid-request; drop the result
             };
             match done {
-                Done::Preview(frame) => conn.queue_line(&frame),
-                Done::Final { frame, session } => {
-                    conn.queue_line(&frame);
+                Done::Preview(bytes) => conn.write_buf.extend_from_slice(&bytes),
+                Done::Final { bytes, session } => {
+                    conn.write_buf.extend_from_slice(&bytes);
                     conn.session = Some(session);
                     conn.running = false;
                 }
@@ -1217,12 +1266,29 @@ fn run_job(shared: &Shared, queues: &Queues, job: Job) {
         mut session,
         stream_mode,
         cancel,
+        socket,
     } = job;
+    let mut writer = FrameWriter {
+        shared,
+        queues,
+        token,
+        socket,
+    };
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        execute_request(shared, queues, token, &request, &mut session, stream_mode, &cancel)
+        execute_request(
+            shared,
+            &mut writer,
+            &request,
+            &mut session,
+            stream_mode,
+            &cancel,
+        )
     }));
     let done = match outcome {
-        Ok(frame) => Done::Final { frame, session },
+        Ok(frame) => Done::Final {
+            bytes: writer.write(frame),
+            session,
+        },
         Err(_) => {
             shared.panics.fetch_add(1, Ordering::Relaxed);
             dbex_obs::counter!("server.panics").incr(1);
@@ -1234,12 +1300,67 @@ fn run_job(shared: &Shared, queues: &Queues, job: Job) {
     queues.push_completion(Completion { token, done });
 }
 
+/// Where a worker's frames go: straight into the connection's socket
+/// while every earlier frame of the request went out whole, otherwise
+/// to the loop through the completion queue.
+struct FrameWriter<'a> {
+    shared: &'a Shared,
+    queues: &'a Queues,
+    token: u64,
+    /// The connection's socket, dropped at the first short write so every
+    /// later byte of the request queues behind the unwritten ones.
+    socket: Option<Arc<TcpStream>>,
+}
+
+impl FrameWriter<'_> {
+    /// Writes `frame` and its newline to the socket without blocking,
+    /// and returns the bytes left for the loop to flush (empty when the
+    /// socket took them all).
+    fn write(&mut self, frame: String) -> Vec<u8> {
+        let mut bytes = frame.into_bytes();
+        bytes.push(b'\n');
+        if let Some(socket) = &self.socket {
+            let mut written = 0;
+            while written < bytes.len() {
+                match (&**socket).write(&bytes[written..]) {
+                    Ok(0) => break,
+                    Ok(n) => written += n,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    // `WouldBlock` or a transport error: the loop's flush
+                    // meets the same condition and handles it.
+                    Err(_) => break,
+                }
+            }
+            if written == bytes.len() {
+                self.shared.frames_direct.fetch_add(1, Ordering::Relaxed);
+                dbex_obs::counter!("server.frames_direct").incr(1);
+                return Vec::new();
+            }
+            self.socket = None;
+            bytes.drain(..written);
+        }
+        self.shared.frames_deferred.fetch_add(1, Ordering::Relaxed);
+        dbex_obs::counter!("server.frames_deferred").incr(1);
+        bytes
+    }
+
+    /// Sends a preview frame; only its unwritten bytes need a completion.
+    fn preview(&mut self, frame: String) {
+        let bytes = self.write(frame);
+        if !bytes.is_empty() {
+            self.queues.push_completion(Completion {
+                token: self.token,
+                done: Done::Preview(bytes),
+            });
+        }
+    }
+}
+
 /// Executes one request, streaming a preview frame first when the
 /// connection opted in, and returns the final response line.
 fn execute_request(
     shared: &Shared,
-    queues: &Queues,
-    token: u64,
+    writer: &mut FrameWriter<'_>,
     request: &str,
     session: &mut Session,
     stream_mode: bool,
@@ -1268,11 +1389,7 @@ fn execute_request(
             save_request(shared).to_line()
         } else if stream_mode {
             let mut push_preview = |preview: WireResponse| {
-                let frame = preview.with_stream_tags(0, false).to_line();
-                queues.push_completion(Completion {
-                    token,
-                    done: Done::Preview(frame),
-                });
+                writer.preview(preview.with_stream_tags(0, false).to_line());
                 dbex_obs::counter!("server.previews").incr(1);
                 dbex_obs::histogram!("server.preview_ms", PREVIEW_MS_BOUNDS)
                     .observe_ms(started.elapsed());
@@ -1572,6 +1689,14 @@ mod tests {
         let resp = client.request("SELECT * FROM nope").unwrap();
         assert!(!resp.ok);
         assert_eq!(resp.code.as_deref(), Some("SESSION"));
+        // Both worker answers went straight to the socket (the loop acked
+        // `.ping` itself); the counter moves just after the write.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while handle.frames_direct() < 2 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(handle.frames_direct(), 2);
+        assert_eq!(handle.frames_deferred(), 0);
         drop(client);
         handle.shutdown();
     }

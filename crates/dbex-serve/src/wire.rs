@@ -128,15 +128,20 @@ impl WireResponse {
     /// JSON object with an `ok` bool) but tolerant of extra fields, so the
     /// format can grow without breaking old clients.
     pub fn parse(line: &str) -> Result<WireResponse, WireParseError> {
-        let fields = parse_flat_object(line)?;
+        let mut fields = parse_flat_object(line)?;
         let ok = match fields.get("ok") {
             Some(JsonScalar::Bool(b)) => *b,
             _ => return Err(WireParseError::new("missing or non-bool \"ok\" field")),
         };
-        let get_str = |name: &str| match fields.get(name) {
-            Some(JsonScalar::Str(s)) => Some(s.clone()),
+        let mut take_str = |name: &str| match fields.remove(name) {
+            Some(JsonScalar::Str(s)) => Some(s),
             _ => None,
         };
+        let kind = take_str("kind");
+        let code = take_str("code");
+        let text = take_str("text")
+            .or_else(|| take_str("error"))
+            .unwrap_or_default();
         let seq = match fields.get("seq") {
             Some(JsonScalar::Num(n)) if *n >= 0.0 => Some(*n as u64),
             _ => None,
@@ -147,11 +152,11 @@ impl WireResponse {
         };
         Ok(WireResponse {
             ok,
-            kind: get_str("kind"),
-            code: get_str("code"),
+            kind,
+            code,
             seq,
             fin,
-            text: get_str("text").or_else(|| get_str("error")).unwrap_or_default(),
+            text,
         })
     }
 }
@@ -355,13 +360,27 @@ impl Scanner<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next delimiter in one push. Both
+            // delimiters are ASCII, so a run of a valid &str always ends
+            // on a UTF-8 boundary — and each byte is looked at once.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            out.push_str(
+                std::str::from_utf8(&rest[..run])
+                    .map_err(|_| WireParseError::new("non-UTF-8 string body"))?,
+            );
+            self.pos += run;
             match self.bytes.get(self.pos) {
                 None => return Err(WireParseError::new("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                // A run stops only at a delimiter, so this is `\`.
+                Some(_) => {
                     self.pos += 1;
                     match self.bytes.get(self.pos) {
                         Some(b'"') => out.push('"'),
@@ -392,18 +411,6 @@ impl Scanner<'_> {
                         _ => return Err(WireParseError::new("bad escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the line is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| WireParseError::new("non-UTF-8 string body"))?;
-                    let c = s.chars().next().ok_or_else(|| {
-                        WireParseError::new("unterminated string")
-                    })?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -436,6 +443,40 @@ mod tests {
         let line = resp.to_line();
         assert!(line.contains("\\u0007"));
         assert_eq!(WireResponse::parse(&line).unwrap().text, "bell\u{7} and \u{1f} end");
+    }
+
+    #[test]
+    fn megabyte_text_decodes_in_linear_time() {
+        // Long ASCII runs between multi-byte characters, every escape
+        // `json_escape` emits, and `\u` controls: a decoder that rescans
+        // the rest of the line per character needs tens of seconds here.
+        let piece = "plain ascii run of some length é 日本 😀 \"q\" \\ \n\r\t\u{1}\u{1f}|";
+        let text = piece.repeat((1 << 20) / piece.len() + 1);
+        let line = WireResponse::ok("cad", &text).to_line();
+        let started = std::time::Instant::now();
+        let parsed = WireResponse::parse(&line).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(parsed.text, text);
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn string_edges_decode() {
+        for (body, want) in [
+            ("", ""),
+            ("é\\n日本\\\"x", "é\n日本\"x"),
+            ("tail 😀", "tail 😀"),
+            ("\\/\\b\\f\\u0041é", "/\u{8}\u{c}Aé"),
+        ] {
+            let line = format!("{{\"ok\":true,\"text\":\"{body}\"}}");
+            assert_eq!(WireResponse::parse(&line).unwrap().text, want, "{line}");
+        }
+        for bad in ["{\"ok\":true,\"text\":\"run é 日本", "{\"ok\":true,\"text\":\""] {
+            assert_eq!(WireResponse::parse(bad).unwrap_err().message, "unterminated string");
+        }
     }
 
     #[test]

@@ -33,7 +33,10 @@
 # `--serve-soak` runs the ignored-by-default 60-second hostile-workload
 # soak (mid-request disconnects, oversized/truncated frames, connection
 # hammers over the cap) in release mode; shorten with
-# DBEX_SERVE_SOAK_SECS. Opt-in because of its wall-clock cost.
+# DBEX_SERVE_SOAK_SECS. It then runs the serve_evented and
+# serve_determinism tests in release mode too, where races between a
+# worker writing its own frames and the loop flushing show more often.
+# Opt-in because of its wall-clock cost.
 #
 # The suggest smoke (also available alone via `--suggest-smoke`) checks
 # the SUGGEST surface: the single-session oracle transcript must match
@@ -149,6 +152,8 @@ fi
 if [[ "$SERVE_SOAK" -eq 1 ]]; then
   echo "==> serve soak (hostile mixed workload, ${DBEX_SERVE_SOAK_SECS:-60}s)"
   cargo test --release --test serve_soak -- --ignored --nocapture
+  echo "==> evented-server and determinism tests (release)"
+  cargo test --release --test serve_evented --test serve_determinism
   exit 0
 fi
 

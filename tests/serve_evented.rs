@@ -8,6 +8,10 @@
 //!   its socket must hit the server's write-side backpressure
 //!   (`WouldBlock` → buffered bytes + write-interest re-registration)
 //!   without wedging the loop for everyone else.
+//! * **Reads late** — a client that pipelines bulky requests and reads
+//!   only once a worker's direct write came up short must still get
+//!   every response whole and in order: the worker hands its unwritten
+//!   bytes, and every later frame, to the loop.
 //! * **Mid-preview disconnect** — a streaming client that vanishes after
 //!   the preview frame must arm the in-flight exact build's cancel flag
 //!   and release the connection slot.
@@ -16,8 +20,10 @@
 //! process-wide gauges, so these tests can share a binary.
 
 use dbexplorer::data::UsedCarsGenerator;
-use dbexplorer::serve::{encode_frame, Client, ServeConfig, Server, ServerHandle};
-use std::io::{Read, Write};
+use dbexplorer::serve::{
+    encode_frame, oracle_transcript, Client, ServeConfig, Server, ServerHandle,
+};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -121,6 +127,59 @@ fn never_reading_client_does_not_wedge_the_loop() {
     assert_eq!(handle.panics(), 0);
     drop(other);
     wait_for_connections(&handle, 0, "after all clients left");
+    handle.shutdown();
+}
+
+/// Bulky responses pipelined with `.ping`s between them, to a client that
+/// reads nothing until a worker's write comes up short. The responses
+/// must then arrive whole, in request order, and byte-identical to the
+/// single-session oracle — whichever of worker and loop wrote them.
+#[test]
+fn short_worker_write_hands_the_rest_to_the_loop_in_order() {
+    const BULKY: &str = "SELECT Make, Model, Price FROM cars LIMIT 5000";
+    let handle = spawn_server(6_000);
+    let mut raw = TcpStream::connect(handle.addr()).expect("connect");
+    raw.set_nodelay(true).ok();
+    let hello = read_line(&mut raw);
+    assert!(hello.contains("dbex-serve ready"), "unexpected hello: {hello}");
+
+    // Pipeline batches until a worker's write has come up short: after
+    // each batch, wait until every bulky frame sent so far was either
+    // written by its worker or handed to the loop.
+    let mut script = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while handle.frames_deferred() == 0 {
+        assert!(script.len() < 20_000, "the socket never filled");
+        for _ in 0..50 {
+            for request in [BULKY, ".ping"] {
+                raw.write_all(&encode_frame(request).expect("encode request"))
+                    .expect("pipeline request");
+                script.push(request);
+            }
+        }
+        let sent = script.len() as u64 / 2;
+        while handle.frames_direct() + handle.frames_deferred() < sent {
+            assert!(Instant::now() < deadline, "server stopped answering");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+    let oracle = oracle_transcript(
+        vec![("cars".to_owned(), UsedCarsGenerator::new(11).generate(6_000))],
+        &ServeConfig::default(),
+        &script,
+    );
+
+    let mut reader = BufReader::new(raw);
+    for (i, expected) in oracle.iter().enumerate() {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read response");
+        assert_eq!(line.strip_suffix('\n'), Some(expected.as_str()), "response {i} differs");
+    }
+    assert!(handle.frames_direct() > 0, "the first responses fit the socket");
+    assert!(handle.frames_deferred() > 0);
+    assert_eq!(handle.panics(), 0);
+    drop(reader);
+    wait_for_connections(&handle, 0, "after the late reader left");
     handle.shutdown();
 }
 
