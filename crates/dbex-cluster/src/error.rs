@@ -19,6 +19,29 @@ pub enum ClusterError {
         /// Dimensionality of the space.
         space: usize,
     },
+    /// A coded column stores a code outside its codec's cardinality.
+    CodeOutOfRange {
+        /// Attribute index of the column.
+        attr: usize,
+        /// The offending code.
+        code: u32,
+        /// The codec's cardinality.
+        cardinality: usize,
+    },
+    /// A row position lies past the end of a coded column.
+    PositionOutOfRange {
+        /// Attribute index of the column.
+        attr: usize,
+        /// Rows the column holds.
+        rows: usize,
+    },
+    /// `rows · attrs` exceeds the packed kernels' `u32` dot accumulator.
+    TooManyCells {
+        /// Rows to pack.
+        rows: usize,
+        /// Attributes per row.
+        attrs: usize,
+    },
     /// Discretization failed while preparing clustering inputs.
     Stats(StatsError),
     /// A deliberately injected fault (testing only; see [`crate::fault`]).
@@ -36,6 +59,24 @@ impl fmt::Display for ClusterError {
             ClusterError::DimensionOutOfRange { point, dim, space } => write!(
                 f,
                 "point {point} activates dimension {dim} outside the {space}-dimensional space"
+            ),
+            ClusterError::CodeOutOfRange {
+                attr,
+                code,
+                cardinality,
+            } => write!(
+                f,
+                "attribute {attr} stores code {code} outside its {cardinality}-value codec"
+            ),
+            ClusterError::PositionOutOfRange { attr, rows } => {
+                write!(
+                    f,
+                    "a position lies past attribute {attr}'s {rows} coded rows"
+                )
+            }
+            ClusterError::TooManyCells { rows, attrs } => write!(
+                f,
+                "{rows} rows × {attrs} attributes exceed the packed kernels' u32 bound"
             ),
             ClusterError::Stats(_) => write!(f, "discretization failed"),
             ClusterError::FaultInjected { site } => write!(f, "injected fault at {site}"),

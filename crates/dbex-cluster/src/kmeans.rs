@@ -78,15 +78,6 @@ pub struct KMeansResult {
     pub inertia: f64,
     /// Lloyd iterations actually run.
     pub iterations: usize,
-    /// Integer centroid histograms from the final Lloyd state — per
-    /// cluster, the per-dimension member counts plus the update-step
-    /// cluster size (`centroids[c][d] == histograms[c].0[d] / histograms[c].1`).
-    /// Only the clusters that actually ran Lloyd are present (fewer than
-    /// the padded `centroids` when `k` was clamped to the point count);
-    /// empty for mini-batch results, whose learning-rate centroids are
-    /// not count ratios. The incremental-reuse warm-start path feeds
-    /// these into a later build.
-    pub histograms: Vec<(Vec<u32>, u32)>,
     /// Points each Lloyd pass walked. The packed kernel groups identical
     /// rows and walks each distinct row once; paths that do not
     /// deduplicate report their point count.
@@ -145,7 +136,6 @@ pub fn kmeans(
             sizes: vec![0; config.k],
             inertia: 0.0,
             iterations: 0,
-            histograms: Vec::new(),
             distinct_rows: 0,
         });
     }
@@ -241,8 +231,7 @@ pub fn kmeans(
         .zip(&count)
         .map(|(h, &m)| h.iter().map(|&v| f64::from(v) / f64::from(m)).collect())
         .collect();
-    // Pad to the requested k so callers can index by cluster id uniformly
-    // (histograms stay unpadded: padded clusters never ran Lloyd).
+    // Pad to the requested k so callers can index by cluster id uniformly.
     while centroids.len() < config.k {
         centroids.push(vec![0.0; dim]);
         sizes.push(0);
@@ -253,7 +242,6 @@ pub fn kmeans(
         sizes,
         inertia,
         iterations,
-        histograms: hist.into_iter().zip(count).collect(),
         distinct_rows: n,
     })
 }
@@ -403,7 +391,7 @@ fn seed_plus_plus(points: &[Vec<u32>], k: usize, rng: &mut StdRng) -> Vec<usize>
 // tested against.
 //
 // The speed comes from the data layout: no per-tuple heap allocation,
-// contiguous u8/u16 rows, and a per-iteration transposed centroid-count
+// contiguous u8/u32 rows, and a per-iteration transposed centroid-count
 // table (`lut[d·k + c] = hist[c][d]` as u32, k ≤ dozens, so it lives in
 // L1) that turns the assignment step's inner loop into a dense integer
 // `dot[0..k] += lut[base..base+k]` strip add the compiler is free to
@@ -429,32 +417,13 @@ pub fn kmeans_packed(
     matrix: &PackedMatrix,
     config: &KMeansConfig,
 ) -> Result<KMeansResult, ClusterError> {
-    kmeans_packed_warm(matrix, config, None)
-}
-
-/// [`kmeans_packed`] with optional warm-start centroid histograms.
-///
-/// When `initial` supplies at least `min(k, n)` histograms of the right
-/// dimensionality with non-zero cluster sizes, Lloyd iterations start
-/// from them (first `min(k, n)` taken) instead of seeding — the
-/// incremental-reuse path feeds a previous build's
-/// [`KMeansResult::histograms`] here. Unusable `initial` values (too
-/// few clusters, wrong dimensionality, zero sizes, or counts large
-/// enough to overflow the u32 dot accumulator) fall back to cold
-/// seeding. Warm starts converge faster but are *not* bit-identical to
-/// a cold run.
-pub fn kmeans_packed_warm(
-    matrix: &PackedMatrix,
-    config: &KMeansConfig,
-    initial: Option<&[(Vec<u32>, u32)]>,
-) -> Result<KMeansResult, ClusterError> {
     fault::check("cluster::kmeans")?;
     if config.k == 0 {
         return Err(ClusterError::ZeroClusters);
     }
     matrix.dispatch(|view| match view {
-        PackedView::U8(codes) => kmeans_packed_impl(codes, matrix, config, initial),
-        PackedView::U16(codes) => kmeans_packed_impl(codes, matrix, config, initial),
+        PackedView::U8(codes) => kmeans_packed_impl(codes, matrix, config),
+        PackedView::U32(codes) => kmeans_packed_impl(codes, matrix, config),
     })
 }
 
@@ -468,7 +437,7 @@ pub fn assign_all_packed(result: &KMeansResult, matrix: &PackedMatrix) -> Vec<us
         .collect();
     matrix.dispatch(|view| match view {
         PackedView::U8(codes) => assign_all_packed_impl(codes, matrix, &result.centroids, &norms),
-        PackedView::U16(codes) => assign_all_packed_impl(codes, matrix, &result.centroids, &norms),
+        PackedView::U32(codes) => assign_all_packed_impl(codes, matrix, &result.centroids, &norms),
     })
 }
 
@@ -476,7 +445,6 @@ fn kmeans_packed_impl<T: CodeWord>(
     codes: &[T],
     m: &PackedMatrix,
     config: &KMeansConfig,
-    initial: Option<&[(Vec<u32>, u32)]>,
 ) -> Result<KMeansResult, ClusterError> {
     let n = m.rows();
     let dim = m.dim();
@@ -489,38 +457,20 @@ fn kmeans_packed_impl<T: CodeWord>(
             sizes: vec![0; config.k],
             inertia: 0.0,
             iterations: 0,
-            histograms: Vec::new(),
             distinct_rows: 0,
         });
     }
     let row = |i: usize| &codes[i * attrs..(i + 1) * attrs];
 
-    // A warm start is usable when it covers k clusters of this space's
-    // dimensionality, every cluster is non-empty, and no histogram entry
-    // could overflow the u32 dot accumulator (`attrs · max_entry`).
-    let warm = initial.filter(|init| {
-        init.len() >= k
-            && init.iter().all(|(h, count)| {
-                h.len() == dim
-                    && *count > 0
-                    && h.iter().all(|&v| (v as usize).saturating_mul(attrs) <= u32::MAX as usize)
-            })
-    });
-    let (mut hist, mut count): (Vec<Vec<u32>>, Vec<u32>) = match warm {
-        Some(init) => init.iter().take(k).cloned().unzip(),
-        None => {
-            let mut rng = StdRng::seed_from_u64(config.seed);
-            let seeds = if config.plus_plus {
-                packed_seed_plus_plus(codes, m, k, &mut rng)
-            } else {
-                seed_random(n, k, &mut rng)
-            };
-            (
-                seeds.iter().map(|&i| packed_hist_onehot(row(i), m, dim)).collect(),
-                vec![1; k],
-            )
-        }
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let seeds = if config.plus_plus {
+        packed_seed_plus_plus(codes, m, k, &mut rng)
+    } else {
+        seed_random(n, k, &mut rng)
     };
+    let mut hist: Vec<Vec<u32>> =
+        seeds.iter().map(|&i| packed_hist_onehot(row(i), m, dim)).collect();
+    let mut count: Vec<u32> = vec![1; k];
 
     // Identical rows share their one-hot dims and therefore every
     // canonical distance, so they always land on the same centroid: the
@@ -703,7 +653,6 @@ fn kmeans_packed_impl<T: CodeWord>(
         sizes,
         inertia,
         iterations,
-        histograms: hist.into_iter().zip(count).collect(),
         distinct_rows: nd,
     })
 }
@@ -953,7 +902,7 @@ fn packed_seed_plus_plus<T: CodeWord>(
         && matches!(disp, SimdDispatch::Sse2 | SimdDispatch::Avx2)
     {
         // SAFETY: `size_of::<T>() == 1` means `T` is `u8` (`CodeWord` is
-        // implemented for `u8` and `u16` only), so this is an identity
+        // implemented for `u8` and `u32` only), so this is an identity
         // reinterpretation of the same initialized bytes.
         let bytes = unsafe { std::slice::from_raw_parts(codes.as_ptr().cast::<u8>(), codes.len()) };
         return packed_seed_plus_plus_u8(bytes, m, k, disp, rng);

@@ -14,6 +14,10 @@
 //! * [`mod@kmeans`] — Lloyd's algorithm with k-means++ seeding, empty-cluster
 //!   reseeding, and out-of-sample assignment (the paper's sampling
 //!   optimization clusters a sample and assigns the remainder).
+//! * [`packed`] — the same k-means, mini-batch and assignment kernels over
+//!   packed dictionary codes, bit-identical to the one-hot ones. The CAD
+//!   builder clusters only on these; the one-hot kernels stay as the
+//!   reference the equivalence tests compare against.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -28,7 +32,7 @@ pub mod quality;
 pub(crate) mod simd;
 
 pub use error::ClusterError;
-pub use kmeans::{assign_all_packed, kmeans, kmeans_packed, kmeans_packed_warm, KMeansConfig, KMeansResult};
+pub use kmeans::{assign_all_packed, kmeans, kmeans_packed, KMeansConfig, KMeansResult};
 pub use minibatch::{mini_batch_kmeans, mini_batch_kmeans_packed, MiniBatchConfig};
 pub use onehot::OneHotSpace;
 pub use packed::PackedMatrix;

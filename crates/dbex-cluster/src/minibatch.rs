@@ -69,7 +69,6 @@ pub fn mini_batch_kmeans(
             sizes: vec![0; config.k],
             inertia: 0.0,
             iterations: 0,
-            histograms: Vec::new(),
             distinct_rows: 0,
         });
     }
@@ -180,7 +179,6 @@ pub fn mini_batch_kmeans(
         sizes,
         inertia,
         iterations: config.batches,
-        histograms: Vec::new(),
         distinct_rows: n,
     })
 }
@@ -209,7 +207,6 @@ pub fn mini_batch_kmeans_packed(
             sizes: vec![0; config.k],
             inertia: 0.0,
             iterations: 0,
-            histograms: Vec::new(),
             distinct_rows: 0,
         });
     }
@@ -226,7 +223,7 @@ pub fn mini_batch_kmeans_packed(
     }
     matrix.dispatch(|view| match view {
         PackedView::U8(codes) => mini_batch_packed_impl(codes, matrix, config),
-        PackedView::U16(codes) => mini_batch_packed_impl(codes, matrix, config),
+        PackedView::U32(codes) => mini_batch_packed_impl(codes, matrix, config),
     })
 }
 
@@ -330,7 +327,6 @@ fn mini_batch_packed_impl<T: CodeWord>(
         sizes,
         inertia,
         iterations: config.batches,
-        histograms: Vec::new(),
         distinct_rows: n,
     })
 }

@@ -5,16 +5,18 @@
 //! per pivot partition, re-encoded on every build — those allocations and
 //! the pointer chase per distance dominate the profile. A [`PackedMatrix`]
 //! stores the same information as one contiguous row-major code matrix:
-//! one `u8` (or `u16`, see below) per `(tuple, attribute)` cell holding the
+//! one `u8` (or `u32`, see below) per `(tuple, attribute)` cell holding the
 //! attribute's discrete code, with the all-ones sentinel marking NULL.
 //!
 //! # Width promotion
 //!
 //! Codes are stored as `u8` when every attribute cardinality is ≤ 255 (the
-//! sentinel `u8::MAX` must not collide with a live code), promoted to
-//! `u16` up to cardinality 65 535, and refused beyond that —
-//! [`PackedMatrix::from_columns`] returns `None` and the caller falls back
-//! to the sparse one-hot reference path.
+//! sentinel `u8::MAX` must not collide with a live code) and promoted to
+//! `u32` otherwise. The `u32` sentinel is [`NULL_CODE`] itself, so every
+//! codec cardinality packs. [`PackedMatrix::try_from_columns`] refuses
+//! only a stored code outside its codec's range and `rows·attrs >
+//! u32::MAX` (the kernels' integer dot accumulator bound), each as a typed
+//! [`ClusterError`].
 //!
 //! # Equivalence with the one-hot space
 //!
@@ -27,13 +29,14 @@
 //! [`crate::minibatch::mini_batch_kmeans_packed`]) reproduce the reference
 //! results *bit for bit*, not just approximately.
 
+use crate::error::ClusterError;
 use crate::onehot::OneHotSpace;
 use dbex_stats::discretize::CodedColumn;
 use dbex_table::dict::NULL_CODE;
 
 /// A fixed-width storage cell of a [`PackedMatrix`].
 ///
-/// Implemented for `u8` and `u16`; the all-ones value is the NULL
+/// Implemented for `u8` and `u32`; the all-ones value is the NULL
 /// sentinel, so the maximum representable live code is `MAX - 1`.
 pub trait CodeWord: Copy + Eq + std::hash::Hash {
     /// The NULL sentinel (`MAX` of the carrier type).
@@ -49,8 +52,8 @@ impl CodeWord for u8 {
     }
 }
 
-impl CodeWord for u16 {
-    const NULL: Self = u16::MAX;
+impl CodeWord for u32 {
+    const NULL: Self = NULL_CODE;
     fn index(self) -> usize {
         self as usize
     }
@@ -60,7 +63,7 @@ impl CodeWord for u16 {
 #[derive(Debug, Clone)]
 enum PackedCodes {
     U8(Vec<u8>),
-    U16(Vec<u16>),
+    U32(Vec<u32>),
 }
 
 /// Row-major packed code matrix over a set of discretized attributes.
@@ -83,12 +86,15 @@ pub struct PackedMatrix {
 impl PackedMatrix {
     /// Packs the tuples at `positions` of the given coded columns.
     ///
-    /// Returns `None` when any attribute cardinality exceeds the `u16`
-    /// carrier (sentinel collision), a stored code is out of its codec's
-    /// range, or `rows·attrs` exceeds `u32::MAX` (the packed kernel's
-    /// integer dot accumulator bound) — the caller must use the one-hot
-    /// reference path.
-    pub fn from_columns(columns: &[&CodedColumn], positions: &[usize]) -> Option<PackedMatrix> {
+    /// Fails with [`ClusterError::CodeOutOfRange`] for a stored code
+    /// outside its codec's range, [`ClusterError::PositionOutOfRange`] for
+    /// a position past a column's end (both broken caller invariants), and
+    /// [`ClusterError::TooManyCells`] when `rows·attrs` exceeds `u32::MAX`
+    /// (the kernels' integer dot accumulator bound).
+    pub fn try_from_columns(
+        columns: &[&CodedColumn],
+        positions: &[usize],
+    ) -> Result<PackedMatrix, ClusterError> {
         let cards: Vec<usize> = columns.iter().map(|c| c.codec.cardinality()).collect();
         let space = OneHotSpace::from_cardinalities(&cards);
         let offsets: Vec<usize> = (0..columns.len()).map(|a| space.dim_of(a, 0)).collect();
@@ -96,17 +102,15 @@ impl PackedMatrix {
         let rows = positions.len();
         let attrs = columns.len();
         if rows.saturating_mul(attrs) > u32::MAX as usize {
-            return None;
+            return Err(ClusterError::TooManyCells { rows, attrs });
         }
         let mut lens = vec![0u32; rows];
         let codes = if max_card <= u8::MAX as usize {
             PackedCodes::U8(pack::<u8>(columns, positions, &cards, &mut lens)?)
-        } else if max_card <= u16::MAX as usize {
-            PackedCodes::U16(pack::<u16>(columns, positions, &cards, &mut lens)?)
         } else {
-            return None;
+            PackedCodes::U32(pack::<u32>(columns, positions, &cards, &mut lens)?)
         };
-        Some(PackedMatrix {
+        Ok(PackedMatrix {
             space,
             offsets,
             rows,
@@ -114,6 +118,11 @@ impl PackedMatrix {
             lens,
             codes,
         })
+    }
+
+    /// [`Self::try_from_columns`] with the refusal reason dropped.
+    pub fn from_columns(columns: &[&CodedColumn], positions: &[usize]) -> Option<PackedMatrix> {
+        Self::try_from_columns(columns, positions).ok()
     }
 
     /// Number of packed rows (tuples).
@@ -163,7 +172,7 @@ impl PackedMatrix {
     pub(crate) fn dispatch<R>(&self, f: impl FnOnce(PackedView<'_>) -> R) -> R {
         match &self.codes {
             PackedCodes::U8(codes) => f(PackedView::U8(codes)),
-            PackedCodes::U16(codes) => f(PackedView::U16(codes)),
+            PackedCodes::U32(codes) => f(PackedView::U32(codes)),
         }
     }
 
@@ -180,10 +189,10 @@ impl PackedMatrix {
                     }
                 }
             }
-            PackedCodes::U16(codes) => {
+            PackedCodes::U32(codes) => {
                 for a in 0..self.attrs {
                     let code = codes[r * self.attrs + a];
-                    if code != u16::NULL {
+                    if code != u32::NULL {
                         active.push((self.offsets[a] + code.index()) as u32);
                     }
                 }
@@ -201,12 +210,12 @@ impl PackedMatrix {
 /// Width-monomorphized borrow of the code matrix.
 pub(crate) enum PackedView<'a> {
     U8(&'a [u8]),
-    U16(&'a [u16]),
+    U32(&'a [u32]),
 }
 
-/// Gathers and narrows the codes at `positions`; `None` on any code
-/// outside its codec's cardinality (broken invariant — let the one-hot
-/// path surface the typed error).
+/// Gathers and narrows the codes at `positions`; fails on a position past
+/// a column's end or a code outside its codec's cardinality (broken
+/// invariants).
 ///
 /// Extraction runs column-at-a-time through [`dbex_table::batch::gather_into`]
 /// — one sequential pass over each column's code slice — before narrowing
@@ -216,26 +225,34 @@ fn pack<T: CodeWord + TryFrom<u32>>(
     positions: &[usize],
     cards: &[usize],
     lens: &mut [u32],
-) -> Option<Vec<T>> {
+) -> Result<Vec<T>, ClusterError> {
     let attrs = columns.len();
     let mut out = vec![T::NULL; positions.len() * attrs];
     let mut gathered: Vec<u32> = Vec::new();
     for (a, col) in columns.iter().enumerate() {
+        let out_of_range = |code| ClusterError::CodeOutOfRange {
+            attr: col.attr_index,
+            code,
+            cardinality: cards[a],
+        };
         if !dbex_table::batch::gather_into(&col.codes, positions, &mut gathered) {
-            return None;
+            return Err(ClusterError::PositionOutOfRange {
+                attr: col.attr_index,
+                rows: col.codes.len(),
+            });
         }
         for (r, &code) in gathered.iter().enumerate() {
             if code == NULL_CODE {
                 continue; // cell already holds the NULL sentinel
             }
             if code as usize >= cards[a] {
-                return None;
+                return Err(out_of_range(code));
             }
-            out[r * attrs + a] = T::try_from(code).ok()?;
+            out[r * attrs + a] = T::try_from(code).map_err(|_| out_of_range(code))?;
             lens[r] += 1;
         }
     }
-    Some(out)
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -282,7 +299,7 @@ mod tests {
     }
 
     #[test]
-    fn promotes_to_u16_above_255() {
+    fn promotes_to_u32_above_255() {
         let labels: Vec<String> = (0..300).map(|i| format!("v{i}")).collect();
         let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
         let c0 = coded(0, &label_refs, vec![0, 255, 299, NULL_CODE]);
@@ -307,11 +324,26 @@ mod tests {
 
     #[test]
     fn refuses_out_of_range_codes_and_oversized_cardinalities() {
-        let c0 = coded(0, &["a", "b"], vec![5]); // code ≥ cardinality
+        let c0 = coded(3, &["a", "b"], vec![5]); // code ≥ cardinality
+        assert_eq!(
+            PackedMatrix::try_from_columns(&[&c0], &[0]).unwrap_err(),
+            ClusterError::CodeOutOfRange {
+                attr: 3,
+                code: 5,
+                cardinality: 2
+            }
+        );
         assert!(PackedMatrix::from_columns(&[&c0], &[0]).is_none());
+        assert_eq!(
+            PackedMatrix::try_from_columns(&[&c0], &[1]).unwrap_err(),
+            ClusterError::PositionOutOfRange { attr: 3, rows: 1 }
+        );
+        // More than 65,535 labels pack as u32.
         let labels: Vec<String> = (0..70_000).map(|i| format!("v{i}")).collect();
         let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-        let big = coded(0, &label_refs, vec![0]);
-        assert!(PackedMatrix::from_columns(&[&big], &[0]).is_none());
+        let big = coded(0, &label_refs, vec![0, 69_999, NULL_CODE]);
+        let m = PackedMatrix::try_from_columns(&[&big], &[0, 1, 2]).unwrap();
+        assert!(!m.is_u8());
+        assert_eq!(m.onehot_rows(), vec![vec![0], vec![69_999], vec![]]);
     }
 }

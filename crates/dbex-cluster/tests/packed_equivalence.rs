@@ -5,11 +5,12 @@
 //! return exactly the assignments, centroids (to the float bit), sizes,
 //! inertia bits, and iteration counts of the sparse reference
 //! implementations. Random fixtures cover NULLs, duplicate rows, empty
-//! rows, tiny n, and the `u8 → u16` width promotion above 255 distinct
-//! values per attribute. The packed k-means walks each distinct row once
-//! with its multiplicity as a weight, so duplicate-heavy fixtures (few
-//! distinct rows, fewer distinct rows than `k`, all rows identical or all
-//! distinct) check that weighting at several thread counts.
+//! rows, tiny n, and the `u8 → u32` width promotion above 255 (and above
+//! 65,535) distinct values per attribute. The packed k-means walks each
+//! distinct row once with its multiplicity as a weight, so duplicate-heavy
+//! fixtures (few distinct rows, fewer distinct rows than `k`, all rows
+//! identical or all distinct) check that weighting at several thread
+//! counts.
 
 use dbex_cluster::kmeans::{assign_all_packed, kmeans, kmeans_packed, KMeansConfig};
 use dbex_cluster::minibatch::{mini_batch_kmeans, mini_batch_kmeans_packed, MiniBatchConfig};
@@ -88,7 +89,6 @@ fn assert_bit_identical(packed: &KMeansResult, reference: &KMeansResult, ctx: &s
         let rb: Vec<u64> = r.iter().map(|v| v.to_bits()).collect();
         assert_eq!(pb, rb, "{ctx}: centroid {c}");
     }
-    assert_eq!(packed.histograms, reference.histograms, "{ctx}: histograms");
 }
 
 /// Every row of `templates` at least once, then random picks up to `n`
@@ -105,9 +105,9 @@ fn repeat_shuffled(templates: &[Vec<Option<u32>>], n: usize, seed: u64) -> Vec<V
     rows
 }
 
-/// Packed k-means at 1, 2 and 4 threads against the one-hot reference,
-/// histograms included. The packed kernel must walk exactly the distinct
-/// rows; the reference walks every point.
+/// Packed k-means at 1, 2 and 4 threads against the one-hot reference.
+/// The packed kernel must walk exactly the distinct rows; the reference
+/// walks every point.
 fn check_weighted(cards: &[usize], rows: &[Vec<Option<u32>>], k: usize, seed: u64) {
     let columns = columns_from(cards, rows);
     let refs: Vec<&CodedColumn> = columns.iter().collect();
@@ -221,16 +221,21 @@ fn packed_kmeans_matches_reference_fewer_points_than_k() {
 
 #[test]
 fn width_promotion_keeps_kernels_exact_above_255_values() {
-    // Cardinality 300 forces u16 storage; distances must not corrupt.
-    let cards = [300, 4];
-    for seed in 0..3u64 {
-        let rows = random_rows(&cards, 150, seed + 11);
-        let columns = columns_from(&cards, &rows);
-        let refs: Vec<&CodedColumn> = columns.iter().collect();
-        let matrix =
-            PackedMatrix::from_columns(&refs, &(0..rows.len()).collect::<Vec<_>>()).unwrap();
-        assert!(!matrix.is_u8(), "cardinality 300 must promote to u16");
-        check_equivalence(&cards, &rows, 5, seed);
+    // Cardinality 300 forces u32 storage, as does one past 65,535 values;
+    // distances must not corrupt.
+    for cards in [&[300, 4][..], &[300, 66_000, 4]] {
+        for seed in 0..3u64 {
+            let rows = random_rows(cards, 150, seed + 11);
+            let columns = columns_from(cards, &rows);
+            let refs: Vec<&CodedColumn> = columns.iter().collect();
+            let matrix =
+                PackedMatrix::from_columns(&refs, &(0..rows.len()).collect::<Vec<_>>()).unwrap();
+            assert!(
+                !matrix.is_u8(),
+                "cardinalities {cards:?} must promote to u32"
+            );
+            check_equivalence(cards, &rows, 5, seed);
+        }
     }
 }
 
@@ -317,7 +322,7 @@ fn weighted_kmeans_duplicates_after_width_promotion() {
     let columns = columns_from(&cards, &rows);
     let refs: Vec<&CodedColumn> = columns.iter().collect();
     let matrix = PackedMatrix::from_columns(&refs, &(0..rows.len()).collect::<Vec<_>>()).unwrap();
-    assert!(!matrix.is_u8(), "cardinality 300 must promote to u16");
+    assert!(!matrix.is_u8(), "cardinality 300 must promote to u32");
     check_weighted(&cards, &rows, 7, 8);
 }
 
@@ -325,7 +330,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Duplicate-heavy inputs: a handful of template rows (NULLs
-    /// included, attribute 0 straddling the u8/u16 boundary) repeated in
+    /// included, attribute 0 straddling the u8/u32 boundary) repeated in
     /// shuffled order, with `k` often above the distinct count.
     #[test]
     fn weighted_kmeans_matches_reference_on_duplicate_heavy_inputs(
@@ -348,7 +353,7 @@ proptest! {
         check_weighted(&cards, &repeat_shuffled(&templates, n, seed), k, seed);
     }
 
-    /// Satellite: arbitrary inputs spanning the u8/u16 promotion boundary.
+    /// Satellite: arbitrary inputs spanning the u8/u32 promotion boundary.
     /// Attribute 0's cardinality ranges across 255/256 so some cases pack
     /// as u8 and others must promote; either way the packed kernels must
     /// equal the one-hot reference bit for bit.

@@ -21,8 +21,8 @@ use crate::error::CadError;
 use crate::iunit::{IUnit, LabelConfig};
 use crate::simil::iunit_similarity;
 use dbex_cluster::{
-    assign_all_packed, kmeans, kmeans_packed_warm, mini_batch_kmeans, mini_batch_kmeans_packed,
-    KMeansConfig, KMeansResult, MiniBatchConfig, OneHotSpace, PackedMatrix,
+    assign_all_packed, kmeans_packed, mini_batch_kmeans_packed, KMeansConfig, KMeansResult,
+    MiniBatchConfig, PackedMatrix,
 };
 use dbex_stats::cache::{ClusterKey, ClusterSolution};
 use dbex_stats::discretize::{AttributeCodec, CodedColumn, CodedMatrix};
@@ -84,20 +84,6 @@ pub struct CadConfig {
     pub plus_plus: bool,
     /// PRNG seed for clustering.
     pub seed: u64,
-    /// Cluster directly on packed `u8`/`u16` dictionary-code rows instead
-    /// of materialized sparse one-hot points (the default). The packed
-    /// kernels are bit-identical to the one-hot reference — this switch
-    /// exists for A/B verification and as an escape hatch; attribute sets
-    /// the packed layout cannot represent (cardinality > 65 535) fall back
-    /// to the reference path automatically.
-    pub packed_kernel: bool,
-    /// Seed k-means from the previous build's centroids for the same pivot
-    /// value when the partition's membership *changed* (a shrunken or grown
-    /// facet refinement). Warm seeding converges in fewer Lloyd iterations
-    /// but produces a (deterministically) different clustering than a cold
-    /// build, so it is opt-in and disables exact cluster reuse; the default
-    /// preserves the byte-identical cold-vs-incremental contract.
-    pub warm_start: bool,
     /// Worker threads for the per-attribute and per-pivot-value stages.
     /// `1` (the default) runs the whole pipeline sequentially on the
     /// caller's thread — required by the fault-injection hooks, whose
@@ -140,8 +126,6 @@ impl Default for CadConfig {
             kmeans_iters: 20,
             plus_plus: true,
             seed: 0xCAD,
-            packed_kernel: true,
-            warm_start: false,
             threads: 1,
         }
     }
@@ -588,7 +572,6 @@ pub fn build_cad_view_streamed(
         enc_cache_after.misses - enc_cache_before.misses,
     );
     drop(enc_span);
-    let space = OneHotSpace::from_columns(&coded);
     let k = request.iunits;
     let tau = request.config.tau_fraction * coded.len() as f64;
     let view_of = |rows: Vec<CadRow>, degradation: Vec<Degradation>, feature_scores| CadView {
@@ -607,7 +590,6 @@ pub fn build_cad_view_streamed(
         threads_used: threads,
         degradation,
         partitions_reused: 0,
-        warm_starts: 0,
         trace: None,
     };
 
@@ -663,7 +645,7 @@ pub fn build_cad_view_streamed(
             span.add("rows_sampled", rows_missed as u64);
             let preview_units: Option<Vec<_>> = dbex_par::par_map(threads, &jobs, |_, job| {
                 let config = &request.config;
-                preview_candidates(job, &coded, &space, config, kmeans_iters, inner_threads)
+                preview_candidates(job, &coded, config, kmeans_iters, inner_threads)
             })
             .into_iter()
             .collect();
@@ -711,33 +693,28 @@ pub fn build_cad_view_streamed(
     // at any thread count.
     let mut candidate_sets: Vec<Vec<IUnit>> = Vec::with_capacity(jobs.len());
     let mut partitions_reused = 0usize;
-    let mut warm_starts = 0usize;
     for candidates in dbex_par::par_map(threads, &jobs, |_, job| {
         let span = gen_span.child("cluster_partition");
         gauge.charge_rows(job.members.len());
         let candidates = generate_candidates(
             job,
             &coded,
-            &space,
             &request.config,
             kmeans_iters,
             inner_threads,
             &gauge,
             cache,
-            result,
         );
         span.add("rows_clustered", job.members.len() as u64);
         span.add("rows_distinct", candidates.rows_distinct as u64);
         span.add("candidates", candidates.units.len() as u64);
         span.add("degradations", candidates.degradations.len() as u64);
         span.add("partitions_reused", candidates.reused as u64);
-        span.add("warm_starts", candidates.warm_started as u64);
         candidates
     }) {
         candidate_sets.push(candidates.units);
         degradation.extend(candidates.degradations);
         partitions_reused += candidates.reused as usize;
-        warm_starts += candidates.warm_started as usize;
     }
     drop(jobs);
     drop(gen_span);
@@ -782,7 +759,6 @@ pub fn build_cad_view_streamed(
             others: timing_others,
         },
         partitions_reused,
-        warm_starts,
         trace,
         ..view_of(rows, degradation, scores)
     })
@@ -951,36 +927,6 @@ fn partition_fingerprint(
     hash
 }
 
-/// Identity under which a pivot value's centroids are kept for warm
-/// seeding: table, pivot value, live attribute set, and the parameters
-/// that shape the centroid space. Deliberately *excludes* the partition
-/// membership — warm starts exist precisely for when membership changed.
-fn warm_start_key(
-    result: &View<'_>,
-    pivot_label: &str,
-    coded: &[&CodedColumn],
-    l: usize,
-    config: &CadConfig,
-) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |word: u64| {
-        hash = (hash ^ word).wrapping_mul(PRIME);
-    };
-    mix(result.table().id());
-    for byte in pivot_label.as_bytes() {
-        mix(u64::from(*byte) + 1);
-    }
-    for col in coded {
-        mix(col.attr_index as u64);
-        mix(col.codec.cardinality() as u64);
-    }
-    mix(l as u64);
-    mix(config.seed);
-    mix(config.plus_plus as u64);
-    hash
-}
-
 /// One pivot partition's clustering job, as the reuse probe left it.
 struct PartitionJob<'p> {
     members: &'p [usize],
@@ -998,10 +944,9 @@ struct PartitionJob<'p> {
 ///
 /// Reuse is bypassed whenever it could diverge from a cold build: on a
 /// degraded rung (an exhausted deadline or an over-budget partition —
-/// such rungs are shaped by transient budget state), in warm-start mode
-/// (warm results are history-dependent), or while a cluster fault is
-/// armed on this thread (a cold build would descend the ladder, so a
-/// cache hit would diverge from it).
+/// such rungs are shaped by transient budget state), or while a cluster
+/// fault is armed on this thread (a cold build would descend the ladder,
+/// so a cache hit would diverge from it).
 #[allow(clippy::too_many_arguments)]
 fn probe_partition<'p>(
     members: &'p [usize],
@@ -1032,7 +977,7 @@ fn probe_partition<'p>(
     let faults_clear = dbex_cluster::fault::check("cluster::kmeans").is_ok()
         && dbex_cluster::fault::check("cluster::minibatch").is_ok();
     if let Some(cache) = cache {
-        if !members.is_empty() && full_rung && !config.warm_start && faults_clear {
+        if !members.is_empty() && full_rung && faults_clear {
             let key = ClusterKey {
                 partition_fp: partition_fingerprint(result, members, coded),
                 l,
@@ -1074,7 +1019,6 @@ fn units_of(
 fn preview_candidates(
     job: &PartitionJob<'_>,
     coded: &[&CodedColumn],
-    space: &OneHotSpace,
     config: &CadConfig,
     kmeans_iters: usize,
     inner_threads: usize,
@@ -1086,16 +1030,14 @@ fn preview_candidates(
     if job.members.is_empty() {
         return Some((Vec::new(), None));
     }
-    let (clusters, _, _) = cluster_partition(
+    let (clusters, _) = cluster_partition(
         job.members,
         coded,
-        space,
         job.l,
         config,
         kmeans_iters,
         inner_threads,
         ClusterRung::Sampled,
-        None,
     )
     .ok()?;
     let sampled = Degradation {
@@ -1124,17 +1066,14 @@ fn preview_candidates(
 /// value's rows untouched skips re-clustering entirely (the returned
 /// `reused` flag): the solution [`probe_partition`] found is used when
 /// the partition still runs on the full rung.
-#[allow(clippy::too_many_arguments)]
 fn generate_candidates(
     job: &PartitionJob<'_>,
     coded: &[&CodedColumn],
-    space: &OneHotSpace,
     config: &CadConfig,
     kmeans_iters: usize,
     inner_threads: usize,
     gauge: &BudgetGauge<'_>,
     cache: Option<&StatsCache>,
-    result: &View<'_>,
 ) -> Candidates {
     let PartitionJob {
         members,
@@ -1155,7 +1094,7 @@ fn generate_candidates(
             reason: format!(
                 "time budget exhausted after {:?}; clustering a {}-row sample",
                 gauge.elapsed(),
-                DEGRADED_SAMPLE_CAP.min(members.len())
+                sampled_rung_cap(config).min(members.len())
             ),
         });
         ClusterRung::Sampled
@@ -1185,26 +1124,9 @@ fn generate_candidates(
         }
     }
 
-    // Warm seeding is keyed on the pivot value's identity, not its
-    // membership, so a refined (shrunken/grown) partition can still seed
-    // from the previous build's centroids.
-    let warm = (config.warm_start && rung != ClusterRung::MiniBatch)
-        .then(|| cache.map(|c| (c, warm_start_key(result, pivot_label, coded, l, config))))
-        .flatten();
-
     loop {
-        match cluster_partition(
-            members,
-            coded,
-            space,
-            l,
-            config,
-            kmeans_iters,
-            inner_threads,
-            rung,
-            warm,
-        ) {
-            Ok((clusters, warm_started, rows_distinct)) => {
+        match cluster_partition(members, coded, l, config, kmeans_iters, inner_threads, rung) {
+            Ok((clusters, rows_distinct)) => {
                 if rung == ClusterRung::Full {
                     if let (Some(key), Some(cache)) = (job.key, cache) {
                         cache.cluster_insert(
@@ -1215,12 +1137,8 @@ fn generate_candidates(
                         );
                     }
                 }
-                if warm_started {
-                    dbex_obs::counter!("cluster.warm_starts").incr(1);
-                }
                 let units = units_of(&clusters, members, coded, &config.label);
                 return Candidates {
-                    warm_started,
                     rows_distinct,
                     ..Candidates::new(units, degradation)
                 };
@@ -1256,8 +1174,6 @@ struct Candidates {
     degradations: Vec<Degradation>,
     /// Served from the cluster-reuse cache: no k-means ran.
     reused: bool,
-    /// The k-means started from a previous build's centroids.
-    warm_started: bool,
     /// Distinct rows the k-means passes walked (0 when none ran).
     rows_distinct: usize,
 }
@@ -1268,7 +1184,6 @@ impl Candidates {
             units,
             degradations,
             reused: false,
-            warm_started: false,
             rows_distinct: 0,
         }
     }
@@ -1277,24 +1192,21 @@ impl Candidates {
 /// One attempt at clustering a partition on a specific ladder rung.
 ///
 /// Returns the non-empty clusters as **indices into `members`** (the
-/// representation the reuse cache stores, position-independent), whether
-/// the k-means was warm-seeded, and how many distinct rows it walked. The default path clusters on a
-/// [`PackedMatrix`] of `u8`/`u16` dictionary codes — no per-tuple one-hot
-/// vectors are materialized — and is bit-identical to the sparse one-hot
-/// reference, which remains both the oracle and the automatic fallback
-/// when the attribute set cannot pack.
-#[allow(clippy::too_many_arguments)]
+/// representation the reuse cache stores, position-independent) and how
+/// many distinct rows the k-means walked. Clustering runs on a
+/// [`PackedMatrix`] of `u8`/`u32` dictionary codes — no per-tuple one-hot
+/// vectors are materialized — bit-identical to the sparse one-hot
+/// reference kernels in `dbex-cluster`, which remain the test oracle. A
+/// matrix that cannot pack fails this rung like any clustering error.
 fn cluster_partition(
     members: &[usize],
     coded: &[&CodedColumn],
-    space: &OneHotSpace,
     l: usize,
     config: &CadConfig,
     kmeans_iters: usize,
     inner_threads: usize,
     rung: ClusterRung,
-    warm: Option<(&dbex_stats::StatsCache, u64)>,
-) -> Result<(Vec<Vec<u32>>, bool, usize), dbex_cluster::ClusterError> {
+) -> Result<(Vec<Vec<u32>>, usize), dbex_cluster::ClusterError> {
     // Cluster a sample and assign the rest (Optimization 1). The sampled
     // rung forces a tiny cap regardless of configuration.
     let cap = match rung {
@@ -1327,22 +1239,10 @@ fn cluster_partition(
         _ => ((0..members.len()).collect(), Vec::new()),
     };
     let train_members: Vec<usize> = train_idx.iter().map(|&i| members[i]).collect();
-
-    let packed = if config.packed_kernel {
-        PackedMatrix::from_columns(coded, &train_members)
-    } else {
-        None
-    };
-    if packed.is_some() {
-        dbex_obs::counter!("cluster.packed_path").incr(1);
-    } else {
-        dbex_obs::counter!("cluster.onehot_path").incr(1);
-    }
-
-    let mut warm_started = false;
-    let km: KMeansResult = match (&packed, rung) {
-        (Some(matrix), ClusterRung::MiniBatch) => mini_batch_kmeans_packed(
-            matrix,
+    let matrix = PackedMatrix::try_from_columns(coded, &train_members)?;
+    let km: KMeansResult = match rung {
+        ClusterRung::MiniBatch => mini_batch_kmeans_packed(
+            &matrix,
             &MiniBatchConfig {
                 k: l,
                 batch_size: 256,
@@ -1350,53 +1250,17 @@ fn cluster_partition(
                 seed: config.seed,
             },
         )?,
-        (Some(matrix), _) => {
-            let initial = warm.and_then(|(cache, key)| cache.warm_centroids(key));
-            warm_started = initial.is_some();
-            kmeans_packed_warm(
-                matrix,
-                &KMeansConfig {
-                    k: l,
-                    max_iters: kmeans_iters,
-                    seed: config.seed,
-                    plus_plus: config.plus_plus,
-                    threads: inner_threads,
-                },
-                initial.as_ref().map(|c| c.as_slice()),
-            )?
-        }
-        (None, ClusterRung::MiniBatch) => mini_batch_kmeans(
-            &space.encode_positions(coded, &train_members),
-            space.dim(),
-            &MiniBatchConfig {
-                k: l,
-                batch_size: 256,
-                batches: kmeans_iters.max(1) * 3,
-                seed: config.seed,
-            },
-        )?,
-        (None, _) => kmeans(
-            &space.encode_positions(coded, &train_members),
-            space.dim(),
+        ClusterRung::Full | ClusterRung::Sampled => kmeans_packed(
+            &matrix,
             &KMeansConfig {
                 k: l,
                 max_iters: kmeans_iters,
                 seed: config.seed,
                 plus_plus: config.plus_plus,
-                threads: 1, // the one-hot reference path is sequential
+                threads: inner_threads,
             },
         )?,
     };
-    if let Some((cache, key)) = warm {
-        // Publish this build's centroid histograms so the *next* build of
-        // the same pivot value (possibly over refined membership) can
-        // warm-seed. Mini-batch runs leave `histograms` empty (their
-        // centroids are learning-rate blends, not count ratios) and keep
-        // whatever a previous Lloyd run stored.
-        if !km.histograms.is_empty() {
-            cache.set_warm_centroids(key, km.histograms.clone());
-        }
-    }
 
     // Bucket every member (train + holdout) into its cluster.
     let mut clusters: Vec<Vec<u32>> = vec![Vec::new(); km.centroids.len()];
@@ -1407,14 +1271,8 @@ fn cluster_partition(
     }
     if !holdout_idx.is_empty() {
         let holdout_members: Vec<usize> = holdout_idx.iter().map(|&i| members[i]).collect();
-        let holdout_packed = packed
-            .is_some()
-            .then(|| PackedMatrix::from_columns(coded, &holdout_members))
-            .flatten();
-        let assignments = match &holdout_packed {
-            Some(matrix) => assign_all_packed(&km, matrix),
-            None => km.assign_all(&space.encode_positions(coded, &holdout_members)),
-        };
+        let holdout = PackedMatrix::try_from_columns(coded, &holdout_members)?;
+        let assignments = assign_all_packed(&km, &holdout);
         for (assignment, &mi) in assignments.iter().zip(&holdout_idx) {
             if let Some(slot) = clusters.get_mut(*assignment) {
                 slot.push(mi as u32);
@@ -1424,7 +1282,6 @@ fn cluster_partition(
 
     Ok((
         clusters.into_iter().filter(|c| !c.is_empty()).collect(),
-        warm_started,
         km.distinct_rows,
     ))
 }
@@ -1860,6 +1717,39 @@ mod tests {
             "{:?}",
             cad.degradation
         );
+    }
+
+    #[test]
+    fn exhausted_deadline_reports_the_sample_the_rung_clusters() {
+        use std::sync::atomic::AtomicU64;
+
+        let t = table();
+        let view = t.full_view();
+        let request = CadRequest::new("Make")
+            .with_iunits(2)
+            .with_config(CadConfig {
+                cluster_sample: Some(10),
+                ..CadConfig::default()
+            })
+            .with_budget(
+                ExecBudget::unlimited()
+                    .with_time_limit(Duration::ZERO)
+                    .with_manual_clock(Arc::new(AtomicU64::new(500))),
+            );
+        let cad = build_cad_view(&view, &request).unwrap();
+        let sampled: Vec<&Degradation> = cad
+            .degradation
+            .iter()
+            .filter(|d| d.kind == DegradationKind::SampledClustering)
+            .collect();
+        assert_eq!(sampled.len(), 2, "{:?}", cad.degradation);
+        for d in sampled {
+            assert!(
+                d.reason.ends_with("clustering a 10-row sample"),
+                "{}",
+                d.reason
+            );
+        }
     }
 
     #[test]

@@ -120,13 +120,6 @@ pub struct ClusterSolution {
     pub clusters: Vec<Vec<u32>>,
 }
 
-/// A Lloyd centroid in integer-histogram form: per-one-hot-dimension
-/// member counts plus the cluster size (the conceptual centroid is
-/// `counts / size`). Stored for warm-starting k-means on a changed
-/// partition; mini-batch centroids have no such form and are never
-/// stored.
-pub type CentroidHistogram = (Vec<u32>, u32);
-
 /// Counters and sizes reported by [`StatsCache::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -140,7 +133,7 @@ pub struct CacheStats {
     pub codec_entries: usize,
     /// Live contingency-table entries.
     pub contingency_entries: usize,
-    /// Live cluster-reuse entries (exact solutions + warm centroid sets).
+    /// Live cluster-reuse entries.
     pub cluster_entries: usize,
 }
 
@@ -258,10 +251,6 @@ pub struct StatsCache {
     codecs: ShardedLru<CodecKey, AttributeCodec>,
     tables: ShardedLru<ContingencyKey, ContingencyTable>,
     clusters: ShardedLru<ClusterKey, ClusterSolution>,
-    /// Latest centroid histograms per warm-start identity (pivot value +
-    /// attribute set + params), for seeding k-means after the partition
-    /// *changed*.
-    warm: ShardedLru<u64, Vec<CentroidHistogram>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -280,8 +269,8 @@ impl StatsCache {
     }
 
     /// Creates an empty cache holding up to `entries` entries in **each**
-    /// of its four maps (codecs, contingency tables, cluster solutions,
-    /// warm-start centroids); zero is clamped to one.
+    /// of its three maps (codecs, contingency tables, cluster solutions);
+    /// zero is clamped to one.
     ///
     /// The default suits a single session's working set. A server shared
     /// by hundreds of concurrent sessions needs proportionally more: at
@@ -295,7 +284,6 @@ impl StatsCache {
             codecs: ShardedLru::new(entries),
             tables: ShardedLru::new(entries),
             clusters: ShardedLru::new(entries),
-            warm: ShardedLru::new(entries),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -371,28 +359,11 @@ impl StatsCache {
         self.clusters.insert(key, Arc::new(solution));
     }
 
-    /// The most recent centroid histograms stored under a warm-start
-    /// identity.
-    ///
-    /// Warm lookups do **not** count toward hit/miss statistics: they are
-    /// seeding hints for a clustering that runs regardless, not avoided
-    /// recomputation.
-    pub fn warm_centroids(&self, key: u64) -> Option<Arc<Vec<CentroidHistogram>>> {
-        self.warm.get(&key)
-    }
-
-    /// Stores (replacing) the centroid histograms for a warm-start
-    /// identity.
-    pub fn set_warm_centroids(&self, key: u64, centroids: Vec<CentroidHistogram>) {
-        self.warm.insert(key, Arc::new(centroids));
-    }
-
     /// Snapshot of every memoized exact cluster solution, for persistence:
     /// `dbex-store` saves these alongside the catalog so a warm-restarted
     /// server's first CAD build reuses partitions instead of re-clustering.
     /// Order is unspecified; callers needing deterministic output sort by
-    /// key. Warm-start centroids are deliberately excluded — they are
-    /// seeding hints, not reusable answers.
+    /// key.
     pub fn export_clusters(&self) -> Vec<(ClusterKey, ClusterSolution)> {
         self.clusters
             .entries()
@@ -401,8 +372,7 @@ impl StatsCache {
             .collect()
     }
 
-    /// Number of exact cluster solutions currently memoized (excludes
-    /// warm-start centroid sets, unlike [`CacheStats::cluster_entries`]).
+    /// Number of exact cluster solutions currently memoized.
     pub fn exact_cluster_entries(&self) -> usize {
         self.clusters.len()
     }
@@ -412,7 +382,6 @@ impl StatsCache {
         self.codecs.clear();
         self.tables.clear();
         self.clusters.clear();
-        self.warm.clear();
     }
 
     /// Snapshot of hit/miss/eviction counters and live entry counts.
@@ -422,11 +391,10 @@ impl StatsCache {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.codecs.evictions()
                 + self.tables.evictions()
-                + self.clusters.evictions()
-                + self.warm.evictions(),
+                + self.clusters.evictions(),
             codec_entries: self.codecs.len(),
             contingency_entries: self.tables.len(),
-            cluster_entries: self.clusters.len() + self.warm.len(),
+            cluster_entries: self.clusters.len(),
         }
     }
 }
@@ -566,7 +534,6 @@ mod tests {
         };
         cache.cluster_insert(key(1), ClusterSolution { clusters: vec![vec![0, 1], vec![2]] });
         cache.cluster_insert(key(2), ClusterSolution { clusters: vec![vec![3]] });
-        cache.set_warm_centroids(9, vec![(vec![1, 0], 1)]); // must NOT be exported
         assert_eq!(cache.exact_cluster_entries(), 2);
 
         let mut exported = cache.export_clusters();
@@ -580,22 +547,6 @@ mod tests {
         }
         let hit = rehydrated.cluster_lookup(&key(1)).expect("rehydrated entry hits");
         assert_eq!(hit.clusters, vec![vec![0, 1], vec![2]]);
-        assert!(rehydrated.warm_centroids(9).is_none());
-    }
-
-    #[test]
-    fn warm_centroids_replace_and_skip_counters() {
-        let cache = StatsCache::new();
-        assert!(cache.warm_centroids(9).is_none());
-        cache.set_warm_centroids(9, vec![(vec![1, 0], 1)]);
-        cache.set_warm_centroids(9, vec![(vec![0, 2], 2)]);
-        assert_eq!(*cache.warm_centroids(9).expect("stored"), vec![(vec![0, 2], 2)]);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (0, 0), "warm lookups are not hits/misses");
-        assert_eq!(s.cluster_entries, 1);
-        cache.clear();
-        assert!(cache.warm_centroids(9).is_none());
-        assert_eq!(cache.stats().cluster_entries, 0);
     }
 
     #[test]

@@ -5,12 +5,6 @@
 # `#![warn(clippy::unwrap_used, clippy::expect_used)]` outside #[cfg(test)],
 # so any new unwrap/expect in library code fails this script.
 #
-# The observability smoke (also available alone via `--obs-smoke`) runs a
-# tiny traced CAD build and asserts the in-memory sink saw the expected
-# span taxonomy and that the global counters moved; it is part of the
-# default gate because it is cheap and catches silently-dropped
-# instrumentation.
-#
 # `--bench-smoke` additionally runs the CAD bench harness in --quick mode
 # with DBEX_THREADS pinned, so the run is reproducible on any machine.
 # bench_suite exits non-zero if any parallel build diverges from the
@@ -103,7 +97,6 @@ trap cleanup EXIT
 
 BENCH_SMOKE=0
 BENCH_REGRESSION=0
-OBS_SMOKE_ONLY=0
 SERVE_SMOKE_ONLY=0
 SUGGEST_SMOKE_ONLY=0
 SERVE_SOAK=0
@@ -119,7 +112,6 @@ for arg in "$@"; do
     --bench-regression) BENCH_REGRESSION=1 ;;
     --bench-explore) BENCH_EXPLORE=1 ;;
     --bench-explore-regression) BENCH_EXPLORE_REGRESSION=1 ;;
-    --obs-smoke) OBS_SMOKE_ONLY=1 ;;
     --serve-smoke) SERVE_SMOKE_ONLY=1 ;;
     --suggest-smoke) SUGGEST_SMOKE_ONLY=1 ;;
     --serve-soak) SERVE_SOAK=1 ;;
@@ -127,15 +119,9 @@ for arg in "$@"; do
     --crash-smoke) CRASH_SMOKE=1 ;;
     --kernel-ab) KERNEL_AB=1 ;;
     --perfbench-smoke) PERFBENCH_SMOKE=1 ;;
-    *) echo "usage: $0 [--bench-smoke] [--bench-regression] [--bench-explore] [--bench-explore-regression] [--obs-smoke] [--serve-smoke] [--suggest-smoke] [--serve-soak] [--store-smoke] [--crash-smoke] [--kernel-ab] [--perfbench-smoke]" >&2; exit 2 ;;
+    *) echo "usage: $0 [--bench-smoke] [--bench-regression] [--bench-explore] [--bench-explore-regression] [--serve-smoke] [--suggest-smoke] [--serve-soak] [--store-smoke] [--crash-smoke] [--kernel-ab] [--perfbench-smoke]" >&2; exit 2 ;;
   esac
 done
-
-if [[ "$OBS_SMOKE_ONLY" -eq 1 ]]; then
-  echo "==> obs smoke (traced build against the in-memory sink)"
-  cargo run --release --bin obs_smoke
-  exit 0
-fi
 
 if [[ "$SERVE_SMOKE_ONLY" -eq 1 ]]; then
   echo "==> serve smoke (3 concurrent clients vs oracle + golden transcript)"
@@ -191,9 +177,6 @@ cargo test -q --workspace
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "==> obs smoke (traced build against the in-memory sink)"
-cargo run --release --bin obs_smoke
 
 echo "==> serve smoke (3 concurrent clients vs oracle + golden transcript)"
 cargo run --release --bin serve_smoke

@@ -295,6 +295,54 @@ fn row_budget_forces_minibatch_clustering() {
 }
 
 #[test]
+fn compare_attribute_past_65535_values_clusters_on_the_full_rung() {
+    // 66,000 distinct values need the packed kernels' u32 code carrier.
+    // The build must still cluster on the full rung with no degradation,
+    // and k-means walks each distinct row once: rows i and i + 66,000
+    // share a pivot value and an Id, so each partition repeats 2,000 rows.
+    use dbexplorer::core::build_cad_view_traced;
+    use dbexplorer::obs::Tracer;
+    use dbexplorer::table::{DataType, Field, TableBuilder, Value};
+
+    const LEVELS: usize = 66_000;
+    const ROWS: usize = 70_000;
+    let mut b = TableBuilder::new(vec![
+        Field::new("Pivot", DataType::Categorical),
+        Field::new("Id", DataType::Categorical),
+    ])
+    .expect("schema");
+    for i in 0..ROWS {
+        b.push_row(vec![
+            Value::Str(format!("p{}", i % 2)),
+            Value::Str(format!("id{}", i % LEVELS)),
+        ])
+        .expect("row");
+    }
+    let table = b.finish();
+    let request = CadRequest::new("Pivot")
+        .with_compare(vec!["Id"])
+        .with_max_compare_attrs(1)
+        .with_iunits(3);
+    let cad = build_cad_view_traced(&table.full_view(), &request, None, &Tracer::enabled())
+        .expect("a wide compare attribute builds");
+    assert_eq!(cad.compare_names, vec!["Id".to_owned()]);
+    assert!(cad.degradation.is_empty(), "{:?}", cad.degradation);
+    let members: usize = cad
+        .rows
+        .iter()
+        .flat_map(|row| &row.iunits)
+        .map(|u| u.size)
+        .sum();
+    assert!(members > 0 && members <= ROWS, "{members} members shown");
+    let trace = cad.trace.expect("a traced build carries its trace");
+    let span = trace
+        .find("cluster_partition")
+        .expect("cluster_partition span");
+    assert_eq!(span.counter("rows_clustered"), ROWS as u64);
+    assert_eq!(span.counter("rows_distinct"), LEVELS as u64);
+}
+
+#[test]
 fn kmeans_iteration_cap_is_recorded() {
     use dbexplorer::core::{DegradationKind, ExecBudget};
 

@@ -144,3 +144,59 @@ fn repl_metrics_dump_matches_snapshot() {
     assert!(masked.contains("trace (per-phase spans):"), "{masked}");
     assert_snapshot("repl_metrics.txt", &masked);
 }
+
+#[test]
+fn traced_build_reaches_the_sink_and_moves_the_global_metrics() {
+    // One traced CAD build with an in-memory sink attached: the sink must
+    // see the whole span taxonomy, and the process-wide registry must
+    // record the build. Other tests in this binary only ever move the
+    // global metrics up, so "moved" stays a sound check.
+    use dbexplorer::obs::MemorySink;
+    use std::sync::Arc;
+    const EXPECTED_SPANS: [&str; 8] = [
+        "cad_build",
+        "pivot_encode",
+        "compare_attrs",
+        "iunit_generation",
+        "encode_matrix",
+        "cluster_partition",
+        "topk",
+        "solve_partition",
+    ];
+    let mut session = Session::new();
+    session.register_table("cars", UsedCarsGenerator::new(1).generate(500));
+    let sink = Arc::new(MemorySink::new());
+    session.set_trace_sink(Some(sink.clone()));
+    session
+        .execute("CREATE CADVIEW smoke AS SET pivot = Make FROM cars IUNITS 2")
+        .expect("traced build");
+
+    assert_eq!(sink.len(), 1, "recorded traces");
+    let names = sink.span_names();
+    for span in EXPECTED_SPANS {
+        assert!(names.contains(span), "span {span:?} missing from {names:?}");
+    }
+    for trace in sink.traces() {
+        assert_eq!(
+            trace.forced_closures, 0,
+            "instrumentation leaks span guards"
+        );
+        let root = trace.find("cad_build").expect("cad_build root span");
+        assert_eq!(root.counters.get("rows_input").copied(), Some(500));
+    }
+
+    let metrics = dbexplorer::obs::global().snapshot();
+    for counter in ["cad.builds", "table.rows_scanned", "query.statements"] {
+        assert!(
+            metrics.counters.get(counter).is_some_and(|&n| n > 0),
+            "global counter {counter:?} never moved"
+        );
+    }
+    assert!(
+        metrics
+            .histograms
+            .get("cad.build_ms")
+            .is_some_and(|h| h.total() > 0),
+        "histogram \"cad.build_ms\" recorded no observations"
+    );
+}

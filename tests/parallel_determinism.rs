@@ -331,95 +331,8 @@ fn incremental_rebuild_matches_cold_under_budget_degradation() {
     }
 }
 
-#[test]
-fn packed_kernel_matches_onehot_oracle_end_to_end() {
-    // The packed-code kernels are an optimization with a bit-identity
-    // contract: a build on packed `u8`/`u16` code rows must equal the
-    // sparse one-hot reference build byte for byte — at full fidelity and
-    // on the mini-batch degradation rung.
-    let with_kernel = |pivot: &str, packed: bool| {
-        CadRequest::new(pivot).with_iunits(3).with_config(CadConfig {
-            packed_kernel: packed,
-            ..CadConfig::default()
-        })
-    };
-    for (name, table, pivot) in datasets() {
-        let view = table.full_view();
-        let packed = build_cad_view(&view, &with_kernel(pivot, true))
-            .unwrap_or_else(|e| panic!("{name}: packed build failed: {e}"));
-        let onehot = build_cad_view(&view, &with_kernel(pivot, false))
-            .unwrap_or_else(|e| panic!("{name}: one-hot build failed: {e}"));
-        assert_eq!(
-            digest(&packed),
-            digest(&onehot),
-            "{name}: packed kernel diverged from the one-hot oracle"
-        );
-    }
-    // Mini-batch rung (row budget forces it) — packed and reference
-    // mini-batch must agree too.
-    let table = UsedCarsGenerator::new(29).generate(5_000);
-    let view = table.full_view();
-    let budgeted = |packed: bool| {
-        let request = with_kernel("Make", packed)
-            .with_budget(ExecBudget::unlimited().with_max_rows(50));
-        build_cad_view(&view, &request).expect("row budget degrades, not fails")
-    };
-    let packed = budgeted(true);
-    assert!(
-        packed
-            .degradation
-            .iter()
-            .any(|d| d.kind == DegradationKind::MiniBatchClustering),
-        "{:?}",
-        packed.degradation
-    );
-    assert_eq!(digest(&packed), digest(&budgeted(false)));
-}
-
-#[test]
-fn warm_start_mode_reseeds_and_stays_deterministic() {
-    use dbexplorer::core::{build_cad_view_cached, StatsCache};
-    use dbexplorer::table::predicate::{CmpOp, Predicate};
-
-    // Opt-in warm starting seeds k-means from the previous build's
-    // centroids for the same pivot value, even after the partition's
-    // membership changed. It is allowed to differ from a cold build —
-    // but it must be deterministic: the same build history replayed
-    // gives the same bytes, at any thread count.
-    let table = UsedCarsGenerator::new(31).generate(4_000);
-    let full = table.full_view();
-    let refined = full
-        .refine(&Predicate::cmp("Make", CmpOp::Ne, "BMW"))
-        .expect("refine");
-    let warm_request = |threads: usize| {
-        let mut request = categorical_request(threads);
-        request.config.warm_start = true;
-        request
-    };
-    let run = |threads: usize| {
-        let cache = StatsCache::new();
-        let first =
-            build_cad_view_cached(&full, &warm_request(threads), Some(&cache)).expect("first");
-        let second = build_cad_view_cached(&refined, &warm_request(threads), Some(&cache))
-            .expect("second");
-        (digest(&first), digest(&second), second.warm_starts)
-    };
-    let (first_a, second_a, warm_a) = run(1);
-    assert!(warm_a > 0, "second build must warm-start from stored centroids");
-    let (first_b, second_b, warm_b) = run(1);
-    assert_eq!((&first_a, &second_a, warm_a), (&first_b, &second_b, warm_b));
-    for threads in [2, 8] {
-        let (first_t, second_t, warm_t) = run(threads);
-        assert_eq!(
-            (&first_t, &second_t, warm_t),
-            (&first_a, &second_a, warm_a),
-            "{threads}-thread warm-start history diverged"
-        );
-    }
-}
-
 // ---------------------------------------------------------------------
-// Property-based A/B digests for the packed clustering kernels: the u16
+// Property-based A/B digests for the packed clustering kernels: the u32
 // width-promoted path and the chunked-merge parallel path. The CAD-level
 // tests above pin end-to-end determinism on curated datasets; these pin
 // the same contracts on *arbitrary* inputs, including row counts that
@@ -443,9 +356,6 @@ fn kmeans_digest(r: &KMeansResult) -> String {
     for (c, centroid) in r.centroids.iter().enumerate() {
         let bits: Vec<u64> = centroid.iter().map(|v| v.to_bits()).collect();
         out.push_str(&format!("centroid {c} {bits:?}\n"));
-    }
-    for (h, count) in &r.histograms {
-        out.push_str(&format!("hist {h:?} {count}\n"));
     }
     out
 }
@@ -499,23 +409,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// A/B digest for the width-promoted packed path: an attribute
-    /// cardinality above 255 forces `u16` code storage, and the promoted
+    /// cardinality above 255 forces `u32` code storage, and the promoted
     /// kernel must still equal the one-hot reference bit for bit — and
     /// stay byte-identical when the assignment pass is chunked across
-    /// worker threads.
+    /// worker threads. Half the cases add a column with more than 65,535
+    /// values, which the `u32` carrier packs too.
     #[test]
     fn u16_promoted_kernel_matches_onehot_reference_at_any_thread_count(
         wide_card in 256usize..340,
         narrow_card in 2usize..6,
+        huge_card in 65_536usize..70_000,
+        with_huge in 0u8..2,
         n in 40usize..160,
         k in 2usize..6,
         seed in 0u64..10_000,
     ) {
-        let columns = seeded_columns(&[wide_card, narrow_card], n, seed | 1);
+        let mut cards = vec![wide_card, narrow_card];
+        if with_huge == 1 {
+            cards.push(huge_card);
+        }
+        let columns = seeded_columns(&cards, n, seed | 1);
         let refs: Vec<&CodedColumn> = columns.iter().collect();
         let positions: Vec<usize> = (0..n).collect();
         let matrix = PackedMatrix::from_columns(&refs, &positions).expect("packable");
-        prop_assert!(!matrix.is_u8(), "cardinality {wide_card} must promote to u16");
+        prop_assert!(!matrix.is_u8(), "cardinalities {cards:?} must promote to u32");
         let space = OneHotSpace::from_columns(&refs);
         let points = space.encode_positions(&refs, &positions);
         let reference = kmeans(&points, space.dim(), &packed_config(k, seed, 1)).unwrap();
@@ -525,7 +442,7 @@ proptest! {
             prop_assert_eq!(
                 &kmeans_digest(&packed),
                 &a,
-                "u16 packed kernel at {} threads diverged from the one-hot reference",
+                "u32 packed kernel at {} threads diverged from the one-hot reference",
                 threads
             );
         }
